@@ -11,26 +11,25 @@ values, not the clock, which makes invariance under monotone
 reparametrization structural.
 
 For long fine-step runs a state-only propagator applies the step
-exponential through an adaptive Taylor series of matrix-vector products;
-the dense operator is never formed per step on that route.
+exponential through an adaptive Taylor series of matrix-vector products
+on the same per-step generator matrices the dense pass builds; it skips
+only their eigendecomposition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .bundle import BundleModel, ParameterPath, reparametrize_path
-from .expressions import Const, EvaluationError, Expression
+from .expressions import Const, EvaluationError
 from .observables import BumpCover, PolynomialObservable
 from .operators import (
     ORDERINGS,
     FiberGrid,
     LinearOperator,
     WaveSection,
-    _derivative_array,
     expm_hermitian,
     inner_product,
     momentum_expectations,
@@ -92,11 +91,13 @@ class DrivenHamiltonian:
                 f"scenario variables {sorted(allowed)}")
         n = self.grid.dim
         terms = self.hamiltonian.terms
-        self._potential = self.hamiltonian.coefficient(())
-        self._affine_part = {i: c for i, c in terms.items() if len(i) == 1}
+        affine = {i: c for i, c in terms.items() if len(i) <= 1}
+        for k, d in enumerate(self.bundle.time_drift):
+            if d != _ZERO:
+                affine[(k + 1,)] = affine.get((k + 1,), _ZERO) + d
+        self._affine = PolynomialObservable(n, affine)
         self._high_part = PolynomialObservable(
             n, {i: c for i, c in terms.items() if len(i) >= 2})
-        self._has_drift = any(c != _ZERO for c in self.bundle.time_drift)
         qvars = {f"q{k}" for k in range(1, n + 1)}
         self._high_static = self._high_part.free_variables() <= qvars
         self._high_matrix: np.ndarray | None = None
@@ -151,15 +152,7 @@ class DrivenHamiltonian:
 
     def hamiltonian_affine(self) -> PolynomialObservable:
         """Degree <= 1 slice of H plus the frame drift, still symbolic."""
-        n = self.grid.dim
-        terms: dict = dict(self._affine_part)
-        for k in range(n):
-            d = self.bundle.time_drift[k]
-            if d != _ZERO:
-                terms[(k + 1,)] = terms.get((k + 1,), _ZERO) + d
-        if self._potential != _ZERO:
-            terms[()] = self._potential
-        return PolynomialObservable(n, terms)
+        return self._affine
 
 
 def geometric_generator(dh: DrivenHamiltonian, t: float) -> LinearOperator:
@@ -278,14 +271,15 @@ def _is_static(dh: DrivenHamiltonian, t0: float, t1: float) -> bool:
 
 
 def _step_unitary(h: np.ndarray, dt: float,
-                  tol: float = HERMITICITY_STEP_TOL) -> np.ndarray:
+                  tol: float = HERMITICITY_STEP_TOL):
+    """exp(-i dt h) and the relative hermiticity defect of h."""
     scale = max(1.0, np.linalg.norm(h))
-    defect = np.linalg.norm(h - h.conj().T) / scale
+    defect = float(np.linalg.norm(h - h.conj().T) / scale)
     if defect > tol:
         raise RuntimeError(
             f"step generator lost hermiticity (relative defect {defect:.3e})")
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * dt * w)) @ v.conj().T
+    return (v * np.exp(-1j * dt * w)) @ v.conj().T, defect
 
 
 def evolve_time_ordered(dh: DrivenHamiltonian, steps: int,
@@ -319,10 +313,8 @@ def evolve_time_ordered(dh: DrivenHamiltonian, steps: int,
     static = _is_static(dh, t0, t1)
     max_defect = 0.0
     if static:
-        h = full_generator(dh, 0.5 * (t0 + t1)).matrix
-        scale = max(1.0, np.linalg.norm(h))
-        max_defect = np.linalg.norm(h - h.conj().T) / scale
-        u_step = _step_unitary(h, dt)
+        u_step, max_defect = _step_unitary(
+            full_generator(dh, 0.5 * (t0 + t1)).matrix, dt)
         u = np.linalg.matrix_power(u_step, steps)
         if psi is not None:
             for j in range(steps):
@@ -336,11 +328,9 @@ def evolve_time_ordered(dh: DrivenHamiltonian, steps: int,
         u = np.eye(size, dtype=complex)
         for j in range(steps):
             tm = 0.5 * (times[j] + times[j + 1])
-            h = full_generator(dh, tm).matrix
-            scale = max(1.0, np.linalg.norm(h))
-            max_defect = max(max_defect,
-                             np.linalg.norm(h - h.conj().T) / scale)
-            u_step = _step_unitary(h, dt)
+            u_step, step_defect = _step_unitary(
+                full_generator(dh, tm).matrix, dt)
+            max_defect = max(max_defect, step_defect)
             u = u_step @ u
             if psi is not None:
                 if snapshots is not None:
@@ -355,7 +345,7 @@ def evolve_time_ordered(dh: DrivenHamiltonian, steps: int,
         unitary=LinearOperator(dh.grid, u),
         times=times,
         unitarity_defect=defect,
-        max_step_hermiticity_defect=float(max_defect),
+        max_step_hermiticity_defect=max_defect,
         static_collapse=static,
     )
     if psi is not None:
@@ -415,7 +405,7 @@ def _geometric_product(dh: DrivenHamiltonian, times: np.ndarray,
         tmid = 0.5 * (times[j + 1] + times[j])
         obs = dh.increment_observable(dsig)
         op = quantize_affine(obs, dh.grid, float(tmid), smid)
-        u_seg = _step_unitary(op.matrix, 1.0)
+        u_seg, _ = _step_unitary(op.matrix, 1.0)
         u = u_seg @ u
         if psi is not None:
             prev = psi
@@ -448,19 +438,22 @@ def geometric_factor(dh: DrivenHamiltonian, t_end: float | None = None,
     return LinearOperator(dh.grid, u)
 
 
-def split_evolution(dh: DrivenHamiltonian, t_end: float | None = None,
-                    steps: int = 512, samples: int = 32,
-                    commuting_threshold: float = 1e-10,
+def split_evolution(dh: DrivenHamiltonian, full: EvolutionResult,
+                    samples: int = 32, commuting_threshold: float = 1e-10,
                     split_tol: float = 1e-8):
-    """Factor U as U_geo U_dyn and report whether that is legitimate.
+    """Factor the dense product ``full`` as U_geo U_dyn and check the split.
 
+    ``full`` is the result of ``evolve_time_ordered`` on ``dh``; its
+    window and step count fix the geometric and dynamic products.
     Returns (U_geo, U_dyn, SplitReport).  The report carries the largest
     relative commutator norm over sampled times; only when the family
     genuinely commutes is the factorization defect asserted.
     """
-    t0, t1 = _resolve_span(dh, None, t_end)
-    full = evolve_time_ordered(dh, steps, t_end=t1)
-    u_geo = geometric_factor(dh, t_end=t1, segments=steps)
+    if full.unitary.grid != dh.grid:
+        raise ValueError("dense result lives on a different grid")
+    times = full.times
+    t0, t1, steps = float(times[0]), float(times[-1]), len(times) - 1
+    u_geo = geometric_factor(dh, t_end=t1, t_start=t0, segments=steps)
     u_dyn = _dynamic_only(dh, t0, t1, steps)
     comm_max = 0.0
     for t in np.linspace(t0, t1, samples):
@@ -487,19 +480,19 @@ def _dynamic_only(dh, t0, t1, steps) -> LinearOperator:
     u = np.eye(dh.grid.size, dtype=complex)
     for j in range(steps):
         tm = 0.5 * (times[j] + times[j + 1])
-        u = _step_unitary(dynamic_operator(dh, tm).matrix, dt) @ u
+        u = _step_unitary(dynamic_operator(dh, tm).matrix, dt)[0] @ u
     return LinearOperator(dh.grid, u)
 
 
 # -- state-only propagation ---------------------------------------------
 
 
-def _taylor_apply(matvec: Callable, psi: np.ndarray, dt: float,
+def _taylor_apply(h: np.ndarray, psi: np.ndarray, dt: float,
                   tol: float = 1e-13, max_terms: int = 64) -> np.ndarray:
     out = psi.copy()
     term = psi
     for j in range(1, max_terms + 1):
-        term = matvec(term) * (-1j * dt / j)
+        term = (h @ term) * (-1j * dt / j)
         out = out + term
         if np.linalg.norm(term) <= tol * np.linalg.norm(out):
             return out
@@ -511,12 +504,14 @@ def propagate_state(dh: DrivenHamiltonian, initial: WaveSection, steps: int,
                     t_start: float | None = None, t_end: float | None = None,
                     record_every: int = 1,
                     with_geometric: bool = True) -> StateTrajectory:
-    """Propagate a state at fine step counts without dense per-step ops.
+    """Propagate a state at fine step counts without per-step eigh.
 
-    Each step applies exp(-i dt H(t_mid)) by an adaptive Taylor series
-    of matrix-vector products.  A companion state carrying only the
-    geometric generator is propagated alongside (``with_geometric``) so
-    the per-time geometric phase column comes out unwrapped.
+    Each step assembles the geometric generator G(t_mid) and the full
+    generator G + H'(t_mid) as the dense pass does, and applies
+    exp(-i dt H) by an adaptive Taylor series of matrix-vector products;
+    a static window is assembled once.  A companion state carrying only
+    G is propagated alongside (``with_geometric``) so the per-time
+    geometric phase column comes out unwrapped.
     """
     if initial.grid != dh.grid:
         raise ValueError("initial state lives on a different grid")
@@ -527,75 +522,15 @@ def propagate_state(dh: DrivenHamiltonian, initial: WaveSection, steps: int,
     dt = (t1 - t0) / steps
     grid = dh.grid
     n, m = grid.dim, dh.bundle.n_parameters
-    derivs = [_derivative_array(grid, a) for a in range(n)]
-    coords = grid.coordinates()
-    qbind = {f"q{a + 1}": coords[a] for a in range(n)}
     psi0 = initial.values.copy()
     psi = psi0.copy()
     phi = psi0.copy() if with_geometric else None
-    slow = bool(dh._high_part.terms) and not dh._high_static
 
-    def sampled(tree: Expression, t: float, sigma):
-        if tree == _ZERO:
-            return None
-        binding = dict(qbind)
-        binding["t"] = t
-        for i in range(m):
-            binding[f"s{i + 1}"] = float(sigma[i])
-        out = tree.evaluate(binding)
-        if np.ndim(out) == 0:
-            return float(out)
-        return out
+    def generators(t: float):
+        g = geometric_generator(dh, t).matrix
+        return g + dynamic_operator(dh, t).matrix, g
 
-    affine_trees = dh.hamiltonian_affine()
-    pot_tree = affine_trees.coefficient(())
-
-    def matvecs_at(t: float):
-        sigma = dh.path.value(t)
-        v = dh.path.velocity(t)
-        if slow:
-            hm = full_generator(dh, t).matrix
-            gm = geometric_generator(dh, t).matrix
-            return (lambda x: hm @ x), (lambda x: gm @ x)
-        high = dh.high_matrix(t, sigma)
-        pot = sampled(pot_tree, t, sigma)
-        drift_full, drift_geo = [], []
-        for k in range(n):
-            geo_tree = _ZERO
-            for lam in range(m):
-                geo_tree = geo_tree + float(v[lam]) \
-                    * dh.bundle.sigma_coupling[k][lam]
-            full_tree = geo_tree + dh.bundle.time_drift[k] \
-                + affine_trees.coefficient((k + 1,))
-            drift_full.append(sampled(full_tree, t, sigma))
-            drift_geo.append(sampled(geo_tree, t, sigma))
-
-        def drift_apply(arrays, x):
-            out = np.zeros_like(x)
-            for k in range(n):
-                a = arrays[k]
-                if a is None:
-                    continue
-                if np.ndim(a) == 0:
-                    # constant coefficient commutes with the stencil
-                    out = out + (-1j * a) * (derivs[k] @ x)
-                else:
-                    out = out + (-0.5j) * (a * (derivs[k] @ x)
-                                           + derivs[k] @ (a * x))
-            return out
-
-        def h_full(x):
-            out = drift_apply(drift_full, x)
-            if high is not None:
-                out = out + high @ x
-            if pot is not None:
-                out = out + pot * x
-            return out
-
-        def h_geo(x):
-            return drift_apply(drift_geo, x)
-
-        return h_full, h_geo
+    fixed = generators(0.5 * (t0 + t1)) if _is_static(dh, t0, t1) else None
 
     records = list(range(0, steps + 1, record_every))
     if records[-1] != steps:
@@ -627,8 +562,8 @@ def propagate_state(dh: DrivenHamiltonian, initial: WaveSection, steps: int,
     arg_psi = 0.0
     arg_phi = 0.0
     for j in range(steps):
-        tm = 0.5 * (times[j] + times[j + 1])
-        h_full, h_geo = matvecs_at(tm)
+        h_full, h_geo = (fixed if fixed is not None
+                         else generators(0.5 * (times[j] + times[j + 1])))
         psi = _taylor_apply(h_full, psi, dt)
         total, arg_psi = lifted(args_total[-1], arg_psi, psi)
         args_total.append(total)

@@ -17,6 +17,7 @@ checked without any grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
@@ -89,7 +90,7 @@ class FiberGrid:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     @property
     def spacings(self) -> tuple[float, ...]:
@@ -97,7 +98,7 @@ class FiberGrid:
 
     @property
     def cell_volume(self) -> float:
-        return float(np.prod(self.spacings))
+        return float(math.prod(self.spacings))
 
     def axis(self, a: int) -> np.ndarray:
         n, l = self.shape[a], self.half_widths[a]

@@ -237,8 +237,7 @@ def run(config: ScenarioConfig, out_dir: str | Path,
 
     split = ehrenfest = convergence = reparam = None
     if "diagnostics" in config.outputs:
-        _, _, rep = _staged("diagnostics", split_evolution, dh,
-                            steps=config.unitary_steps)
+        _, _, rep = _staged("diagnostics", split_evolution, dh, dense)
         split = {"commutator_max": float(rep.commutator_max),
                  "factorization_defect": float(rep.factorization_defect),
                  "commuting": bool(rep.commuting)}

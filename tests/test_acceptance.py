@@ -15,8 +15,8 @@ import pytest
 from conftest import record_acceptance
 from leafquant.bundle import BundleModel, ParameterPath, \
     prequant_curvature_check
-from leafquant.evolution import DrivenHamiltonian, geometric_factor, \
-    split_evolution
+from leafquant.evolution import DrivenHamiltonian, evolve_time_ordered, \
+    geometric_factor, split_evolution
 from leafquant.expressions import Const, Var, parse_expr
 from leafquant.observables import PolynomialObservable
 from leafquant.operators import FiberGrid
@@ -198,7 +198,7 @@ def test_acceptance_factorized_evolution():
     path = ParameterPath.from_expressions([Var("t")], span=(0.0, 2.0))
     ham = PolynomialObservable(1, {(1, 1): Const(0.16)})
     dh = DrivenHamiltonian(bundle, path, ham, FiberGrid(128, 8.0))
-    _, _, good = split_evolution(dh, steps=64)
+    _, _, good = split_evolution(dh, evolve_time_ordered(dh, 64))
     commuting_elapsed = time.perf_counter() - started
 
     _, driven_rep, driven_elapsed = preset_report("driven_oscillator")
