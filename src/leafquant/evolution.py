@@ -13,7 +13,9 @@ reparametrization structural.
 For long fine-step runs a state-only propagator applies the step
 exponential through an adaptive Taylor series of matrix-vector products
 on the same per-step generator matrices the dense pass builds; it skips
-only their eigendecomposition.
+only their eigendecomposition.  Generators stay sparse stencils
+throughout; a dense step makes its generator a dense array once, for the
+Hermiticity gate and the eigendecomposition.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .bundle import BundleModel, ParameterPath, reparametrize_path
 from .expressions import Const, EvaluationError
@@ -100,7 +103,7 @@ class DrivenHamiltonian:
             n, {i: c for i, c in terms.items() if len(i) >= 2})
         qvars = {f"q{k}" for k in range(1, n + 1)}
         self._high_static = self._high_part.free_variables() <= qvars
-        self._high_matrix: np.ndarray | None = None
+        self._high_matrix: sp.csr_array | None = None
         self._coupling_free = frozenset().union(
             *(c.free_variables() for row in self.bundle.sigma_coupling
               for c in row)) if self.bundle.sigma_coupling else frozenset()
@@ -135,7 +138,7 @@ class DrivenHamiltonian:
                  if self.bundle.time_drift[k] != _ZERO}
         return PolynomialObservable(n, terms)
 
-    def high_matrix(self, t: float, sigma) -> np.ndarray | None:
+    def high_matrix(self, t: float, sigma) -> sp.csr_array | None:
         """Momentum-degree >= 2 part, cached when parameter-independent."""
         if not self._high_part.terms:
             return None
@@ -270,15 +273,16 @@ def _is_static(dh: DrivenHamiltonian, t0: float, t1: float) -> bool:
     return float(np.max(np.abs(values - values[0]))) <= 1e-12
 
 
-def _step_unitary(h: np.ndarray, dt: float,
+def _step_unitary(h: LinearOperator, dt: float,
                   tol: float = HERMITICITY_STEP_TOL):
-    """exp(-i dt h) and the relative hermiticity defect of h."""
-    scale = max(1.0, np.linalg.norm(h))
-    defect = float(np.linalg.norm(h - h.conj().T) / scale)
+    """exp(-i dt h) (dense) and the relative hermiticity defect of h."""
+    m = h.dense()
+    scale = max(1.0, np.linalg.norm(m))
+    defect = float(np.linalg.norm(m - m.conj().T) / scale)
     if defect > tol:
         raise RuntimeError(
             f"step generator lost hermiticity (relative defect {defect:.3e})")
-    w, v = np.linalg.eigh(h)
+    w, v = np.linalg.eigh(m)
     return (v * np.exp(-1j * dt * w)) @ v.conj().T, defect
 
 
@@ -314,7 +318,7 @@ def evolve_time_ordered(dh: DrivenHamiltonian, steps: int,
     max_defect = 0.0
     if static:
         u_step, max_defect = _step_unitary(
-            full_generator(dh, 0.5 * (t0 + t1)).matrix, dt)
+            full_generator(dh, 0.5 * (t0 + t1)), dt)
         u = np.linalg.matrix_power(u_step, steps)
         if psi is not None:
             for j in range(steps):
@@ -328,8 +332,7 @@ def evolve_time_ordered(dh: DrivenHamiltonian, steps: int,
         u = np.eye(size, dtype=complex)
         for j in range(steps):
             tm = 0.5 * (times[j] + times[j + 1])
-            u_step, step_defect = _step_unitary(
-                full_generator(dh, tm).matrix, dt)
+            u_step, step_defect = _step_unitary(full_generator(dh, tm), dt)
             max_defect = max(max_defect, step_defect)
             u = u_step @ u
             if psi is not None:
@@ -405,7 +408,7 @@ def _geometric_product(dh: DrivenHamiltonian, times: np.ndarray,
         tmid = 0.5 * (times[j + 1] + times[j])
         obs = dh.increment_observable(dsig)
         op = quantize_affine(obs, dh.grid, float(tmid), smid)
-        u_seg, _ = _step_unitary(op.matrix, 1.0)
+        u_seg, _ = _step_unitary(op, 1.0)
         u = u_seg @ u
         if psi is not None:
             prev = psi
@@ -457,13 +460,12 @@ def split_evolution(dh: DrivenHamiltonian, full: EvolutionResult,
     u_dyn = _dynamic_only(dh, t0, t1, steps)
     comm_max = 0.0
     for t in np.linspace(t0, t1, samples):
-        g = geometric_generator(dh, t).matrix
-        h = dynamic_operator(dh, t).matrix
-        ng, nh = np.linalg.norm(g), np.linalg.norm(h)
+        g = geometric_generator(dh, t)
+        h = dynamic_operator(dh, t)
+        ng, nh = g.frobenius(), h.frobenius()
         if ng == 0.0 or nh == 0.0:
             continue
-        comm_max = max(comm_max,
-                       np.linalg.norm(g @ h - h @ g) / (ng * nh))
+        comm_max = max(comm_max, g.commutator(h).frobenius() / (ng * nh))
     defect = float(np.linalg.norm(
         full.unitary.matrix - u_geo.matrix @ u_dyn.matrix))
     commuting = bool(comm_max <= commuting_threshold)
@@ -480,14 +482,14 @@ def _dynamic_only(dh, t0, t1, steps) -> LinearOperator:
     u = np.eye(dh.grid.size, dtype=complex)
     for j in range(steps):
         tm = 0.5 * (times[j] + times[j + 1])
-        u = _step_unitary(dynamic_operator(dh, tm).matrix, dt)[0] @ u
+        u = _step_unitary(dynamic_operator(dh, tm), dt)[0] @ u
     return LinearOperator(dh.grid, u)
 
 
 # -- state-only propagation ---------------------------------------------
 
 
-def _taylor_apply(h: np.ndarray, psi: np.ndarray, dt: float,
+def _taylor_apply(h: sp.csr_array, psi: np.ndarray, dt: float,
                   tol: float = 1e-13, max_terms: int = 64) -> np.ndarray:
     out = psi.copy()
     term = psi
@@ -597,9 +599,7 @@ def propagate_state(dh: DrivenHamiltonian, initial: WaveSection, steps: int,
 def heisenberg_derivative(fhat: LinearOperator, dh: DrivenHamiltonian,
                           t: float) -> LinearOperator:
     """i[H(t), f]; explicit time dependence of f is the caller's term."""
-    h = full_generator(dh, t).matrix
-    return LinearOperator(dh.grid,
-                          1j * (h @ fhat.matrix - fhat.matrix @ h))
+    return 1j * full_generator(dh, t).commutator(fhat)
 
 
 def classical_hamilton_flow(dh: DrivenHamiltonian, initial: ClassicalState,

@@ -164,13 +164,17 @@ class Expression:
         except (ZeroDivisionError, OverflowError) as exc:
             raise EvaluationError(
                 f"{exc} while evaluating '{self.to_source()}'") from None
-        arr = np.asarray(out)
-        if not np.all(np.isfinite(arr)):
+        if isinstance(out, float):
+            finite = math.isfinite(out)
+        else:
+            out = np.asarray(out)
+            finite = bool(np.all(np.isfinite(out)))
+        if not finite:
             raise EvaluationError(
                 f"non-finite value while evaluating '{self.to_source()}'")
-        if arr.ndim == 0:
-            return float(arr)
-        return arr
+        if isinstance(out, float) or out.ndim == 0:
+            return float(out)
+        return out
 
     def _eval(self, binding):
         raise NotImplementedError

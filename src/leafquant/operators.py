@@ -8,11 +8,14 @@ the symmetrized form
 
     -(i/2) sum_k (A_k D_k + D_k A_k) + B,
 
-so the matrices are Hermitian to the bit, not just to rounding.  Higher
-momentum polynomials go through the affine factorization and ordered
-products of the factor operators.  A small operator-symbol layer mirrors
-first-order operators symbolically so the commutator algebra can be
-checked without any grid.
+so the matrices are Hermitian to the bit, not just to rounding.  Every
+such generator is a banded stencil, stored as a CSR array over one
+sparsity pattern per grid (the diagonal plus the neighbours along each
+axis); an assembly only fills its values.  Higher momentum polynomials
+go through the affine factorization and ordered sparse products of the
+factor operators.  Exponentials and their products are dense.  A small
+operator-symbol layer mirrors first-order operators symbolically so the
+commutator algebra can be checked without any grid.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from itertools import permutations
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .expressions import Const, Expression
 from .observables import (
@@ -105,11 +110,8 @@ class FiberGrid:
         return -l + (2.0 * l / n) * np.arange(n)
 
     def coordinates(self) -> list[np.ndarray]:
-        """Flattened coordinate arrays (C order), one per axis."""
-        if self.dim == 1:
-            return [self.axis(0)]
-        g0, g1 = np.meshgrid(self.axis(0), self.axis(1), indexing="ij")
-        return [g0.ravel(), g1.ravel()]
+        """Flattened coordinate arrays (C order), one per axis, read-only."""
+        return list(_coordinates(self))
 
     def points(self) -> np.ndarray:
         """(size, dim) array of grid points."""
@@ -169,13 +171,38 @@ class WaveSection:
         return float(density[inside].sum() / total) if total > 0 else 0.0
 
 
+@lru_cache(maxsize=64)
+def _coordinates(grid: FiberGrid) -> tuple[np.ndarray, ...]:
+    if grid.dim == 1:
+        coords = (grid.axis(0),)
+    else:
+        g0, g1 = np.meshgrid(grid.axis(0), grid.axis(1), indexing="ij")
+        coords = (g0.ravel(), g1.ravel())
+    for c in coords:
+        c.flags.writeable = False
+    return coords
+
+
+def _to_dense(m) -> np.ndarray:
+    return m.toarray() if sp.issparse(m) else np.asarray(m)
+
+
 class LinearOperator:
-    """Dense operator over a fiber grid."""
+    """Operator over a fiber grid: a CSR stencil or a dense matrix.
+
+    Quantized generators are CSR arrays; exponentials and their products
+    are dense ndarrays.  Arithmetic accepts either storage on each side
+    (sparse with sparse stays sparse), and ``dense()`` gives the ndarray.
+    """
 
     __slots__ = ("grid", "matrix")
 
-    def __init__(self, grid: FiberGrid, matrix: np.ndarray):
-        matrix = np.asarray(matrix, dtype=complex)
+    def __init__(self, grid: FiberGrid, matrix):
+        if sp.issparse(matrix):
+            if matrix.format != "csr" or matrix.dtype != complex:
+                matrix = sp.csr_array(matrix, dtype=complex)
+        else:
+            matrix = np.asarray(matrix, dtype=complex)
         if matrix.shape != (grid.size, grid.size):
             raise ValueError("matrix shape does not match the grid")
         self.grid = grid
@@ -184,6 +211,10 @@ class LinearOperator:
     @classmethod
     def identity(cls, grid: FiberGrid) -> "LinearOperator":
         return cls(grid, np.eye(grid.size, dtype=complex))
+
+    def dense(self) -> np.ndarray:
+        """The matrix as an ndarray (the stored one when already dense)."""
+        return _to_dense(self.matrix)
 
     def _require_same_grid(self, other: "LinearOperator"):
         if self.grid != other.grid:
@@ -220,7 +251,8 @@ class LinearOperator:
             self.grid, self.matrix @ other.matrix - other.matrix @ self.matrix)
 
     def frobenius(self) -> float:
-        return float(np.linalg.norm(self.matrix))
+        m = self.matrix
+        return float(spla.norm(m) if sp.issparse(m) else np.linalg.norm(m))
 
     def apply(self, target):
         if isinstance(target, WaveSection):
@@ -229,32 +261,62 @@ class LinearOperator:
         return self.matrix @ np.asarray(target, dtype=complex)
 
 
-@lru_cache(maxsize=64)
-def _central_difference(n: int, h: float) -> np.ndarray:
-    d = np.zeros((n, n))
-    c = 1.0 / (2.0 * h)
-    idx = np.arange(n)
-    d[idx, (idx + 1) % n] = c
-    d[idx, (idx - 1) % n] = -c
-    return d
+@dataclass(frozen=True)
+class _Stencil:
+    """CSR pattern of the diagonal and every axis difference on a grid.
+
+    ``rows[k]``, ``cols[k]`` and ``steps[k]`` list the nonzero entries
+    of the central difference D_k (steps are +-1/(2h_k)); ``slots[k]``
+    and ``diagonal`` give their positions in the CSR data array.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    diagonal: np.ndarray
+    rows: tuple[np.ndarray, ...]
+    cols: tuple[np.ndarray, ...]
+    steps: tuple[np.ndarray, ...]
+    slots: tuple[np.ndarray, ...]
+
+    def csr(self, data: np.ndarray) -> sp.csr_array:
+        n = len(self.indptr) - 1
+        return sp.csr_array((data, self.indices, self.indptr), shape=(n, n))
 
 
 @lru_cache(maxsize=64)
-def _derivative_array(grid: FiberGrid, axis: int) -> np.ndarray:
-    """Real matrix of the periodic central difference along an axis."""
-    if not 0 <= axis < grid.dim:
-        raise ValueError(f"axis {axis} out of range for a {grid.dim}d grid")
-    d = _central_difference(grid.shape[axis], grid.spacings[axis])
-    if grid.dim == 1:
-        return d
-    eyes = [np.eye(n) for n in grid.shape]
-    factors = [d if a == axis else eyes[a] for a in range(grid.dim)]
-    return np.kron(factors[0], factors[1])
+def _stencil(grid: FiberGrid) -> _Stencil:
+    n = grid.size
+    flat = np.arange(n).reshape(grid.shape)
+    rows, cols, steps = [], [], []
+    for k, h in enumerate(grid.spacings):
+        c = 1.0 / (2.0 * h)
+        # rolling by -1 along axis k brings the i + 1 neighbour to i
+        up = np.roll(flat, -1, axis=k).ravel()
+        down = np.roll(flat, 1, axis=k).ravel()
+        rows.append(np.tile(np.arange(n), 2))
+        cols.append(np.concatenate([up, down]))
+        steps.append(np.repeat([c, -c], n))
+    keys = [np.arange(n) * (n + 1)] + [r * n + c for r, c in zip(rows, cols)]
+    # with at least 8 points per axis the pieces never overlap
+    pattern = np.unique(np.concatenate(keys))
+    slots = [np.searchsorted(pattern, key) for key in keys]
+    indptr = np.searchsorted(pattern, np.arange(n + 1) * n).astype(np.int32)
+    indices = (pattern % n).astype(np.int32)
+    st = _Stencil(indptr, indices, slots[0], tuple(rows), tuple(cols),
+                  tuple(steps), tuple(slots[1:]))
+    for a in (indptr, indices, *slots, *rows, *cols, *steps):
+        a.flags.writeable = False
+    return st
 
 
 def derivative_matrix(grid: FiberGrid, axis: int = 0) -> LinearOperator:
     """Periodic central-difference derivative along the given axis."""
-    return LinearOperator(grid, _derivative_array(grid, axis).astype(complex))
+    if not 0 <= axis < grid.dim:
+        raise ValueError(f"axis {axis} out of range for a {grid.dim}d grid")
+    st = _stencil(grid)
+    data = np.zeros(len(st.indices), dtype=complex)
+    data[st.slots[axis]] = st.steps[axis]
+    return LinearOperator(grid, st.csr(data))
 
 
 def _sample(expr: Expression, grid: FiberGrid) -> np.ndarray:
@@ -288,14 +350,14 @@ def quantize_affine(f: PolynomialObservable, grid: FiberGrid,
     instance, becomes -(i/2)(Q D + D Q).
     """
     a, b = _bind_affine(f, grid, t, sigma)
-    m = np.diag(_sample(b, grid).astype(complex))
+    st = _stencil(grid)
+    data = np.zeros(len(st.indices), dtype=complex)
+    data[st.diagonal] = _sample(b, grid)
     for k in range(grid.dim):
         ak = _sample(a[k], grid)
-        if not np.any(ak):
-            continue
-        d = _derivative_array(grid, k)
-        m = m + (-0.5j) * (d * (ak[:, None] + ak[None, :]))
-    return LinearOperator(grid, m)
+        rows, cols = st.rows[k], st.cols[k]
+        data[st.slots[k]] = (-0.5j) * (st.steps[k] * (ak[rows] + ak[cols]))
+    return LinearOperator(grid, st.csr(data))
 
 
 def quantize_affine_literal(f: PolynomialObservable, grid: FiberGrid,
@@ -308,15 +370,15 @@ def quantize_affine_literal(f: PolynomialObservable, grid: FiberGrid,
     once the drift varies, which the tests exploit.
     """
     a, b = _bind_affine(f, grid, t, sigma)
-    m = np.diag(_sample(b, grid).astype(complex))
+    st = _stencil(grid)
+    data = np.zeros(len(st.indices), dtype=complex)
     divergence = np.zeros(grid.size)
     for k in range(grid.dim):
         ak = _sample(a[k], grid)
-        d = _derivative_array(grid, k)
-        m = m + (-1j) * (ak[:, None] * d)
+        data[st.slots[k]] = (-1j) * (ak[st.rows[k]] * st.steps[k])
         divergence = divergence + _sample(a[k].diff(f"q{k + 1}"), grid)
-    m = m + np.diag((-0.5j) * divergence)
-    return LinearOperator(grid, m)
+    data[st.diagonal] = _sample(b, grid) + (-0.5j) * divergence
+    return LinearOperator(grid, st.csr(data))
 
 
 def quantize_polynomial(f: PolynomialObservable, grid: FiberGrid,
@@ -337,14 +399,14 @@ def quantize_polynomial(f: PolynomialObservable, grid: FiberGrid,
     if f.degree >= 2 and cover is not None:
         cover.check_covers(grid.points())
     fact = decompose_polynomial(f, cover)
-    total = np.zeros((grid.size, grid.size), dtype=complex)
+    total = sp.csr_array((grid.size, grid.size), dtype=complex)
     for group in fact.factors:
         mats = [quantize_affine(g, grid, t, sigma).matrix for g in group]
         total = total + _ordered_product(mats, ordering)
     return LinearOperator(grid, total)
 
 
-def _ordered_product(mats: list[np.ndarray], ordering: str) -> np.ndarray:
+def _ordered_product(mats: list[sp.csr_array], ordering: str) -> sp.csr_array:
     if len(mats) == 1:
         return mats[0]
     if ordering == "left":
@@ -353,12 +415,12 @@ def _ordered_product(mats: list[np.ndarray], ordering: str) -> np.ndarray:
         orders = [tuple(reversed(range(len(mats))))]
     else:
         orders = list(permutations(range(len(mats))))
-    acc = np.zeros_like(mats[0])
+    acc = None
     for order in orders:
         prod = mats[order[0]]
         for i in order[1:]:
             prod = prod @ mats[i]
-        acc = acc + prod
+        acc = prod if acc is None else acc + prod
     return acc / len(orders)
 
 
@@ -371,8 +433,12 @@ def inner_product(a: WaveSection, b: WaveSection) -> complex:
 
 def hermiticity_defect(op: LinearOperator) -> float:
     """Relative Frobenius distance from the adjoint."""
-    gap = np.linalg.norm(op.matrix - op.matrix.conj().T)
-    return float(gap / max(1.0, np.linalg.norm(op.matrix)))
+    return _relative_defect(op.dense())
+
+
+def _relative_defect(m: np.ndarray) -> float:
+    gap = np.linalg.norm(m - m.conj().T)
+    return float(gap / max(1.0, np.linalg.norm(m)))
 
 
 def expectation_value(op: LinearOperator, ws: WaveSection) -> float:
@@ -393,17 +459,21 @@ def position_expectations(ws: WaveSection) -> np.ndarray:
 def momentum_expectations(ws: WaveSection) -> np.ndarray:
     out = []
     for a in range(ws.grid.dim):
-        d = _derivative_array(ws.grid, a)
-        val = np.vdot(ws.values, -1j * (d @ ws.values)).real
+        d = derivative_matrix(ws.grid, a)
+        val = np.vdot(ws.values, -1j * d.apply(ws.values)).real
         out.append(val * ws.grid.cell_volume)
     return np.array(out) / (ws.norm() ** 2)
 
 
-def expm_hermitian(op: LinearOperator | np.ndarray, prefactor: complex = 1.0,
+def expm_hermitian(op, prefactor: complex = 1.0,
                    defect_tol: float = 1e-9) -> np.ndarray:
-    """exp(prefactor * H) for Hermitian H through its eigensystem."""
-    h = op.matrix if isinstance(op, LinearOperator) else np.asarray(op)
-    gap = np.linalg.norm(h - h.conj().T) / max(1.0, np.linalg.norm(h))
+    """exp(prefactor * H) for Hermitian H through its eigensystem.
+
+    ``op`` is a LinearOperator, an ndarray or a sparse array; the
+    result is dense.
+    """
+    h = _to_dense(op.matrix if isinstance(op, LinearOperator) else op)
+    gap = _relative_defect(h)
     if gap > defect_tol:
         raise ValueError(
             f"matrix is not Hermitian (relative defect {gap:.3e})")

@@ -84,9 +84,9 @@ def two_axis_dh():
 def test_geometric_generator_direct_assembly():
     dh = nonabelian_dh(n_grid=64)
     t = np.pi / 4
-    g = geometric_generator(dh, t).matrix
+    g = geometric_generator(dh, t).dense()
     grid = dh.grid
-    d = derivative_matrix(grid, 0).matrix
+    d = derivative_matrix(grid, 0).dense()
     a = -np.sin(t) + np.cos(t) * grid.axis(0)
     manual = (-0.5j) * (d * (a[:, None] + a[None, :]))
     assert np.linalg.norm(g - manual) < 1e-12
@@ -94,7 +94,7 @@ def test_geometric_generator_direct_assembly():
 
 def test_geometric_generator_constant_path_is_zero():
     dh = static_dh(n_grid=64)
-    assert np.linalg.norm(geometric_generator(dh, 1.0).matrix) == 0.0
+    assert np.linalg.norm(geometric_generator(dh, 1.0).dense()) == 0.0
 
 
 def test_geometric_generator_unit_coupling_is_momentum():
@@ -102,8 +102,8 @@ def test_geometric_generator_unit_coupling_is_momentum():
     path = ParameterPath.from_expressions([Var("t")], span=(0.0, 1.0))
     dh = DrivenHamiltonian(bundle, path, P(1, {}),
                            FiberGrid((64,), (5.0,)))
-    g = geometric_generator(dh, 0.5).matrix
-    p_mat = quantize_affine(P.momentum(1, dim=1), dh.grid).matrix
+    g = geometric_generator(dh, 0.5).dense()
+    p_mat = quantize_affine(P.momentum(1, dim=1), dh.grid).dense()
     assert np.linalg.norm(g - p_mat) < 1e-13
 
 
@@ -111,14 +111,14 @@ def test_dynamic_operator_recentered_floor():
     dh = oscillator_dh(n_grid=256)
     for t in (0.0, 2.0, 7.0):
         op = dynamic_operator(dh, t)
-        w = np.linalg.eigvalsh(op.matrix)
+        w = np.linalg.eigvalsh(op.dense())
         assert abs(w[0] - 0.5) < 1e-3
 
 
 def test_dynamic_operator_static_kinetic_cache():
     dh = oscillator_dh(n_grid=64)
-    m0 = dynamic_operator(dh, 0.3).matrix
-    m1 = dynamic_operator(dh, 1.7).matrix
+    m0 = dynamic_operator(dh, 0.3).dense()
+    m1 = dynamic_operator(dh, 1.7).dense()
     # kinetic block cached, potential moves with the path
     assert dh._high_matrix is not None
     assert np.linalg.norm(m0 - m1) > 1e-3
@@ -127,8 +127,9 @@ def test_dynamic_operator_static_kinetic_cache():
 def test_full_generator_is_sum():
     dh = oscillator_dh(n_grid=64)
     t = 0.9
-    total = full_generator(dh, t).matrix
-    parts = geometric_generator(dh, t).matrix + dynamic_operator(dh, t).matrix
+    total = full_generator(dh, t).dense()
+    parts = (geometric_generator(dh, t).dense()
+             + dynamic_operator(dh, t).dense())
     assert np.array_equal(total, parts)
 
 

@@ -149,6 +149,16 @@ def test_unbound_and_nonfinite_errors():
         parse_expr("sqrt(t)", ["t"]).evaluate({"t": -2.0})
 
 
+def test_scalar_nonfinite_raises_and_floats_come_back_as_float():
+    e = parse_expr("exp(q1)", ["q1"])
+    for x in (1000.0, np.float64(1000.0), np.array(1000.0)):
+        with pytest.raises(EvaluationError, match="non-finite"):
+            e.evaluate({"q1": x})
+    for x in (1.0, np.float64(1.0), np.array(1.0)):
+        out = e.evaluate({"q1": x})
+        assert type(out) is float and out == pytest.approx(np.e)
+
+
 def test_vectorized_evaluation_matches_scalar():
     rng = np.random.default_rng(5)
     tree = random_tree(rng, depth=5)

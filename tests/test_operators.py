@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from leafquant.expressions import Const, Var, parse_expr
 from leafquant.observables import (
@@ -11,6 +12,7 @@ from leafquant.observables import (
 )
 from leafquant.operators import (
     FiberGrid,
+    LinearOperator,
     WaveSection,
     affine_symbol,
     derivative_matrix,
@@ -64,6 +66,18 @@ def test_grid_scalar_promotion():
     assert g2.half_widths == (3.0, 3.0)
 
 
+def test_coordinates_cached_and_read_only():
+    for g in (FiberGrid((16,), (4.0,)), FiberGrid((8, 12), (2.0, 3.0))):
+        first, again = g.coordinates(), g.coordinates()
+        for a in range(g.dim):
+            assert again[a] is first[a]
+            with pytest.raises(ValueError, match="read-only"):
+                first[a][0] = 1.0
+        # the returned list is the caller's own
+        first.append(None)
+        assert len(g.coordinates()) == g.dim
+
+
 def test_grid_validation():
     with pytest.raises(ValueError, match="one or two"):
         FiberGrid((8, 8, 8), (1.0, 1.0, 1.0))
@@ -76,7 +90,7 @@ def test_grid_validation():
 def test_derivative_exact_antisymmetry():
     for g in (FiberGrid((32,), (3.0,)), FiberGrid((8, 16), (2.0, 5.0))):
         for a in range(g.dim):
-            d = derivative_matrix(g, a).matrix
+            d = derivative_matrix(g, a).dense()
             assert np.array_equal(d, -d.conj().T)
 
 
@@ -105,8 +119,8 @@ def test_derivative_accuracy_second_order():
 
 def test_derivative_2d_axes_commute():
     g = FiberGrid((12, 10), (3.0, 4.0))
-    d0 = derivative_matrix(g, 0).matrix
-    d1 = derivative_matrix(g, 1).matrix
+    d0 = derivative_matrix(g, 0).dense()
+    d1 = derivative_matrix(g, 1).dense()
     assert np.allclose(d0 @ d1 - d1 @ d0, 0.0, atol=1e-14)
 
 
@@ -167,7 +181,7 @@ def test_momentum_operator_plane_wave():
 def test_position_operator_is_diagonal():
     g = FiberGrid((64,), (4.0,))
     op = quantize_affine(affine([Const(0.0)], Var("q1")), g)
-    assert np.allclose(op.matrix, np.diag(g.axis(0)), atol=0)
+    assert np.allclose(op.dense(), np.diag(g.axis(0)), atol=0)
 
 
 def test_symmetrized_hermitian_to_the_bit():
@@ -230,7 +244,128 @@ def test_time_dependent_coefficient_binding():
     g = FiberGrid((32,), (3.0,))
     op0 = quantize_affine(f, g, t=0.0)
     op1 = quantize_affine(f, g, t=np.pi / 3)
-    assert np.allclose(op1.matrix, 0.5 * op0.matrix, atol=1e-12)
+    assert np.allclose(op1.dense(), 0.5 * op0.dense(), atol=1e-12)
+
+
+def _dense_difference(g, axis):
+    """Dense periodic central difference, built directly from its entries."""
+    mats = []
+    for n, h in zip(g.shape, g.spacings):
+        d = np.zeros((n, n))
+        idx = np.arange(n)
+        d[idx, (idx + 1) % n] = 1.0 / (2.0 * h)
+        d[idx, (idx - 1) % n] = -1.0 / (2.0 * h)
+        mats.append(d)
+    if g.dim == 1:
+        return mats[0]
+    factors = [mats[a] if a == axis else np.eye(n)
+               for a, n in enumerate(g.shape)]
+    return np.kron(factors[0], factors[1])
+
+
+def test_generators_are_banded_csr():
+    g = FiberGrid((64,), (5.0,))
+    drift = affine([parse_expr("sin(q1)", allowed_vars=["q1"])],
+                   Var("q1") ** 2)
+    kinetic = P(1, {(1, 1): Const(1.0)})
+    for op, band in ((quantize_affine(drift, g), 3),
+                     (quantize_polynomial(kinetic, g), 5),
+                     (derivative_matrix(g, 0), 3)):
+        assert isinstance(op.matrix, scipy.sparse.csr_array)
+        assert op.matrix.nnz <= band * g.size
+    # affine generators on one grid share one cached pattern
+    first = quantize_affine(drift, g).matrix
+    second = derivative_matrix(g, 0).matrix
+    assert np.shares_memory(first.indices, second.indices)
+    assert np.shares_memory(first.indptr, second.indptr)
+    g2 = FiberGrid((10, 12), (3.0, 3.0))
+    op2 = quantize_affine(affine([Var("q2"), Var("q1")], Const(0.0), dim=2),
+                          g2)
+    assert isinstance(op2.matrix, scipy.sparse.csr_array)
+    assert op2.matrix.nnz <= 5 * g2.size
+
+
+def test_affine_dense_equals_dense_formula_bitwise():
+    cases = [
+        (FiberGrid((32,), (4.0,)),
+         affine([parse_expr("sin(0.7*q1) + 0.3*q1", allowed_vars=["q1"])],
+                Const(0.4) + Var("q1") ** 2)),
+        (FiberGrid((10, 12), (3.0, 2.5)),
+         affine([parse_expr("q2*cos(q1)", allowed_vars=["q1", "q2"]),
+                 parse_expr("tanh(q1)", allowed_vars=["q1"])],
+                Var("q1") * Var("q2"), dim=2)),
+    ]
+    for g, f in cases:
+        a, b = f.linear_coefficients()
+        coords = {f"q{k + 1}": c for k, c in enumerate(g.coordinates())}
+        m = np.diag(np.asarray(b.evaluate(coords), dtype=complex))
+        for k in range(g.dim):
+            ak = np.broadcast_to(a[k].evaluate(coords), (g.size,))
+            d = _dense_difference(g, k)
+            m = m + (-0.5j) * (d * (ak[:, None] + ak[None, :]))
+        assert np.array_equal(quantize_affine(f, g).dense(), m)
+        for k in range(g.dim):
+            assert np.array_equal(derivative_matrix(g, k).dense(),
+                                  _dense_difference(g, k))
+
+
+def test_mixed_storage_arithmetic_matches_dense():
+    g = FiberGrid((10, 8), (3.0, 3.0))
+    rng = np.random.default_rng(11)
+    sparse_a = quantize_affine(
+        affine([Var("q2"), parse_expr("tanh(q1)", allowed_vars=["q1"])],
+               Var("q1") * Var("q2"), dim=2), g)
+    sparse_b = quantize_polynomial(P(2, {(1, 2): Var("q1")}), g)
+    noise = rng.normal(size=(g.size, g.size)) \
+        + 1j * rng.normal(size=(g.size, g.size))
+    dense_c = LinearOperator(g, noise + noise.conj().T)
+    psi = rng.normal(size=g.size) + 1j * rng.normal(size=g.size)
+
+    def dense(op):
+        return LinearOperator(g, op.dense())
+
+    ops = (sparse_a, sparse_b, dense_c)
+    for x in ops:
+        scale = max(1.0, dense(x).frobenius())
+        assert isinstance(x.dense(), np.ndarray)
+        assert x.frobenius() == pytest.approx(dense(x).frobenius(),
+                                              rel=1e-14)
+        assert hermiticity_defect(x) == pytest.approx(
+            hermiticity_defect(dense(x)), rel=1e-12, abs=1e-16)
+        for got, want in ((x.adjoint(), dense(x).adjoint()),
+                          (-x, -dense(x)),
+                          (0.5j * x, 0.5j * dense(x)),
+                          (x * 2.0, dense(x) * 2.0)):
+            assert np.array_equal(got.dense(), want.dense())
+        assert np.allclose(x.apply(psi), dense(x).apply(psi),
+                           rtol=0, atol=1e-13 * scale * np.linalg.norm(psi))
+        for y in ops:
+            tol = 1e-13 * scale * max(1.0, dense(y).frobenius())
+            for got, want in (
+                    (x @ y, dense(x) @ dense(y)),
+                    (x + y, dense(x) + dense(y)),
+                    (x - y, dense(x) - dense(y)),
+                    (x.commutator(y), dense(x).commutator(dense(y)))):
+                assert isinstance(got.dense(), np.ndarray)
+                assert np.abs(got.dense() - want.dense()).max() <= tol
+            both_sparse = scipy.sparse.issparse(x.matrix) \
+                and scipy.sparse.issparse(y.matrix)
+            assert scipy.sparse.issparse((x @ y).matrix) == both_sparse
+    with pytest.raises(ValueError, match="different grids"):
+        sparse_a + derivative_matrix(FiberGrid((8, 8), (3.0, 3.0)), 0)
+
+
+def test_expm_accepts_sparse_generators():
+    g = FiberGrid((24,), (3.0,))
+    op = quantize_polynomial(P(1, {(1, 1): Const(0.5), (): Var("q1")}), g)
+    u = expm_hermitian(op, prefactor=-0.3j)
+    assert isinstance(u, np.ndarray)
+    assert np.array_equal(u, expm_hermitian(op.dense(), prefactor=-0.3j))
+    assert np.array_equal(u, expm_hermitian(op.matrix, prefactor=-0.3j))
+    rng = np.random.default_rng(5)
+    full = rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        expm_hermitian(scipy.sparse.csc_array(full))
 
 
 # -- polynomial quantization ---------------------------------------------
@@ -240,8 +375,8 @@ def test_momentum_square_matches_second_difference():
     g = FiberGrid((64,), (5.0,))
     f = P(1, {(1, 1): Const(1.0)})
     op = quantize_polynomial(f, g)
-    d = derivative_matrix(g, 0).matrix
-    assert np.allclose(op.matrix, -(d @ d), atol=1e-13)
+    d = derivative_matrix(g, 0).dense()
+    assert np.allclose(op.dense(), -(d @ d), atol=1e-13)
     assert hermiticity_defect(op) < 1e-14
 
 
@@ -252,7 +387,7 @@ def test_oscillator_ground_energy():
     g = FiberGrid((512,), (10.0,))
     ham = P(1, {(1, 1): Const(0.5), (): 0.5 * Var("q1") ** 2})
     op = quantize_polynomial(ham, g)
-    w = np.linalg.eigvalsh(op.matrix)
+    w = np.linalg.eigvalsh(op.dense())
     assert abs(w[0] - 0.5) < 1e-3
     assert abs(w[1] - w[0]) < 1e-6          # doubler twin, not the 1.5 level
     ws = WaveSection.gaussian(g, center=0.0, width=1.0)
@@ -267,9 +402,9 @@ def test_symmetric_ordering_hermitian_left_not():
     f = P(1, {(1, 1): Var("q1") ** 2})
     assert hermiticity_defect(quantize_polynomial(f, g)) < 1e-12
     assert hermiticity_defect(quantize_polynomial(f, g, ordering="left")) > 1e-6
-    sym = quantize_polynomial(f, g).matrix
-    left = quantize_polynomial(f, g, ordering="left").matrix
-    right = quantize_polynomial(f, g, ordering="right").matrix
+    sym = quantize_polynomial(f, g).dense()
+    left = quantize_polynomial(f, g, ordering="left").dense()
+    right = quantize_polynomial(f, g, ordering="right").dense()
     assert np.allclose(sym, 0.5 * (left + right), atol=1e-12)
 
 
@@ -322,7 +457,7 @@ def test_affine_part_unaffected_by_cover():
     f = affine([Var("q1")], Var("q1") ** 2)
     with_cover = quantize_polynomial(f, g, cover=cover)
     without = quantize_polynomial(f, g)
-    assert np.allclose(with_cover.matrix, without.matrix, atol=0)
+    assert np.allclose(with_cover.dense(), without.dense(), atol=0)
 
 
 def test_cubic_two_axes():
