@@ -143,6 +143,7 @@ class ParameterPath:
                                            bc_type="periodic")
             else:
                 self._spline = CubicSpline(times, values, axis=0)
+            self._knots = values.copy()
             self._dspline = self._spline.derivative()
             self._velocity_trees = None
         if self.closed and self.components is not None:
@@ -165,6 +166,13 @@ class ParameterPath:
         if self.components is not None:
             return len(self.components)
         return np.atleast_1d(self._spline(self.span[0])).shape[0]
+
+    def is_constant(self) -> bool:
+        """True when the curve is one point: no component depends on
+        ``t``, or every sampled knot row is the same."""
+        if self.components is not None:
+            return all("t" not in c.free_variables() for c in self.components)
+        return bool(np.all(self._knots == self._knots[0]))
 
     def value(self, t: float) -> np.ndarray:
         if self.components is not None:

@@ -414,13 +414,18 @@ def _ordered_product(mats: list[sp.csr_array], ordering: str) -> sp.csr_array:
     elif ordering == "right":
         orders = [tuple(reversed(range(len(mats))))]
     else:
-        orders = list(permutations(range(len(mats))))
+        # the factors are Hermitian, so the reversed product is the
+        # adjoint: half the permutations plus their adjoints give the
+        # average, and x_ij + conj(x_ji) makes it Hermitian to the bit
+        orders = [o for o in permutations(range(len(mats))) if o[0] < o[-1]]
     acc = None
     for order in orders:
         prod = mats[order[0]]
         for i in order[1:]:
             prod = prod @ mats[i]
         acc = prod if acc is None else acc + prod
+    if ordering == "symmetric":
+        return (acc + acc.conj().T) / (2 * len(orders))
     return acc / len(orders)
 
 

@@ -175,8 +175,15 @@ def _ehrenfest_gaps(config, dh, traj, t0, t1):
             "classical_steps": int(config.steps)}
 
 
-def _convergence_diag(dh, counts):
-    factors = [geometric_factor(dh, segments=c).matrix for c in counts]
+def _factor(dh, segments, made: dict) -> np.ndarray:
+    """The geometric factor of ``dh`` at ``segments``, made once per run."""
+    if segments not in made:
+        made[segments] = geometric_factor(dh, segments=segments).matrix
+    return made[segments]
+
+
+def _convergence_diag(dh, counts, made):
+    factors = [_factor(dh, c, made) for c in counts]
     gaps = [float(np.linalg.norm(factors[i + 1] - factors[i]))
             for i in range(len(factors) - 1)]
     out = {"segment_counts": [int(c) for c in counts], "gaps": gaps}
@@ -193,8 +200,8 @@ def _convergence_diag(dh, counts):
     return out
 
 
-def _reparam_diag(config, dh):
-    base = geometric_factor(dh, segments=config.segments).matrix
+def _reparam_diag(config, dh, made):
+    base = _factor(dh, config.segments, made)
     warped_path = reparametrize_path(config.path, config.warp)
     dh_w = DrivenHamiltonian(config.bundle, warped_path,
                              config.hamiltonian, config.grid,
@@ -236,6 +243,7 @@ def run(config: ScenarioConfig, out_dir: str | Path,
     phases["dynamic"] = phases["total"] - phases["geometric"]
 
     split = ehrenfest = convergence = reparam = None
+    factors: dict[int, np.ndarray] = {}  # geometric factors of dh by segments
     if "diagnostics" in config.outputs:
         _, _, rep = _staged("diagnostics", split_evolution, dh, dense)
         split = {"commutator_max": float(rep.commutator_max),
@@ -246,9 +254,10 @@ def run(config: ScenarioConfig, out_dir: str | Path,
                             traj, t0, t1)
     if "convergence" in config.outputs and config.segment_counts:
         convergence = _staged("convergence", _convergence_diag, dh,
-                              config.segment_counts)
+                              config.segment_counts, factors)
     if "reparametrization" in config.outputs and config.warp is not None:
-        reparam = _staged("reparametrization", _reparam_diag, config, dh)
+        reparam = _staged("reparametrization", _reparam_diag, config, dh,
+                          factors)
 
     artifacts = {"report": "report.json"}
     if "expectations" in config.outputs or "phases" in config.outputs:

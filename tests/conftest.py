@@ -2,8 +2,16 @@
 
 Collects the one-line verdicts emitted by the acceptance tests and
 replays them in the terminal summary, so they stay visible even when
-stdout capture swallows in-test prints.
+stdout capture swallows in-test prints.  Property tests run a few
+derandomized examples without deadlines: the examples repeat from run
+to run, and a machine whose CPU speed drifts cannot flake them.
 """
+
+from hypothesis import settings
+
+settings.register_profile("leafquant", derandomize=True, deadline=None,
+                          max_examples=8)
+settings.load_profile("leafquant")
 
 ACCEPTANCE_LINES: list[str] = []
 

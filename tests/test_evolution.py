@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, strategies as st
 
+from leafquant import evolution, runner
 from leafquant.bundle import BundleModel, ParameterPath
 from leafquant.expressions import Const, Var, parse_expr
 from leafquant.observables import PolynomialObservable
@@ -10,7 +13,9 @@ from leafquant.operators import (
     derivative_matrix,
     expectation_value,
     inner_product,
+    position_expectations,
     quantize_affine,
+    quantize_affine_literal,
 )
 from leafquant.evolution import (
     ClassicalState,
@@ -26,6 +31,7 @@ from leafquant.evolution import (
     reparametrize_path,
     split_evolution,
 )
+from leafquant.scenarios import parse_scenario
 
 P = PolynomialObservable
 TWO_PI = 2.0 * np.pi
@@ -206,6 +212,39 @@ def test_trajectory_emission():
     assert np.allclose(res.trajectory[-1].values, res.final_state.values)
 
 
+def test_aliased_drive_is_not_static():
+    # the drive and its velocity vanish at all of 17 equally spaced times
+    # in [0, 2 pi], yet the packet is dragged by up to 0.5
+    bundle = BundleModel(1, 1, ((c(1.0),),))
+    path = ParameterPath.from_expressions([expr("0.5*sin(8*t)^2", ["t"])],
+                                          span=(0.0, TWO_PI))
+    ham = P(1, {(1, 1): c(0.5), (): 0.5 * (Var("q1") - Var("s1")) ** 2})
+    dh = DrivenHamiltonian(bundle, path, ham, FiberGrid((64,), (8.0,)))
+    ws = WaveSection.gaussian(dh.grid, width=1.0)
+    traj = propagate_state(dh, ws, steps=400)
+    assert np.max(np.abs(traj.positions)) > 0.1
+    res = evolve_time_ordered(dh, steps=400, initial=ws,
+                              emit_trajectory=True)
+    assert not res.static_collapse
+    moved = max(abs(position_expectations(snap)[0])
+                for snap in res.trajectory)
+    assert moved > 0.1
+
+
+def test_static_sampled_path_collapses():
+    bundle = BundleModel(1, 1, ((c(1.0),),))
+    flat = ParameterPath.from_samples(np.linspace(0.0, 1.0, 6),
+                                      np.full(6, 0.25))
+    bent = ParameterPath.from_samples(np.linspace(0.0, 1.0, 6),
+                                      [0.25, 0.25, 0.25, 0.3, 0.25, 0.25])
+    ham = P(1, {(1, 1): c(0.5), (): 0.5 * (Var("q1") - Var("s1")) ** 2})
+    grid = FiberGrid((32,), (5.0,))
+    assert evolve_time_ordered(DrivenHamiltonian(bundle, flat, ham, grid),
+                               steps=4).static_collapse
+    assert not evolve_time_ordered(DrivenHamiltonian(bundle, bent, ham, grid),
+                                   steps=4).static_collapse
+
+
 def test_window_validation():
     dh = oscillator_dh(n_grid=32, t1=1.0)
     with pytest.raises(ValueError, match="outside the path span"):
@@ -285,6 +324,79 @@ def test_reparametrization_invariance_coarse():
     u0 = geometric_factor(dh, segments=512).matrix
     u1 = geometric_factor(warped, segments=512).matrix
     assert np.linalg.norm(u0 - u1) < 5e-3
+
+
+def expm_transport(dh, segments):
+    """Per-segment scipy expm product over the same midpoint increments."""
+    times = np.linspace(*dh.span, segments + 1)
+    sig = dh.path.values(times)
+    u = np.eye(dh.grid.size, dtype=complex)
+    for j in range(segments):
+        obs = dh.increment_observable(sig[j + 1] - sig[j])
+        h = quantize_affine(obs, dh.grid, 0.5 * (times[j] + times[j + 1]),
+                            0.5 * (sig[j] + sig[j + 1])).dense()
+        u = scipy.linalg.expm(-1j * h) @ u
+    return u
+
+
+def unitarity_defect(u):
+    return np.linalg.norm(u @ u.conj().T - np.eye(len(u)))
+
+
+@pytest.mark.parametrize("n_grid,segments", [(96, 8), (96, 64), (256, 2)])
+def test_transport_product_matches_expm(n_grid, segments):
+    # at N = 256 two segments have ||h||_1 far above TRANSPORT_SUBSTEP_NORM,
+    # so the product only converges through substeps
+    dh = nonabelian_dh(n_grid=n_grid)
+    u = geometric_factor(dh, segments=segments).matrix
+    assert np.linalg.norm(u - expm_transport(dh, segments)) < 1e-11
+    assert unitarity_defect(u) <= 1e-12
+
+
+def test_transport_product_keeps_hermiticity_gate(monkeypatch):
+    # the one-sided assembly is not Hermitian once the drift varies in q
+    monkeypatch.setattr(evolution, "quantize_affine", quantize_affine_literal)
+    with pytest.raises(RuntimeError, match="hermiticity"):
+        geometric_factor(nonabelian_dh(n_grid=48), segments=4)
+
+
+@given(slope=st.floats(0.2, 1.0), radius=st.floats(0.3, 1.0))
+def test_loop_factor_unitary_and_matches_expm(slope, radius):
+    bundle = BundleModel(2, 1, ((c(1.0), slope * Var("q1")),))
+    path = ParameterPath.from_expressions(
+        [expr(f"{radius!r}*cos(t)", ["t"]), expr(f"{radius!r}*sin(t)", ["t"])],
+        span=(0.0, TWO_PI), closed=True)
+    dh = DrivenHamiltonian(bundle, path, P(1, {}), FiberGrid((32,), (6.0,)))
+    u = geometric_factor(dh, segments=32).matrix
+    assert unitarity_defect(u) <= 1e-12
+    assert np.linalg.norm(u - expm_transport(dh, 32)) < 1e-11
+
+
+def test_run_builds_each_geometric_factor_once(tmp_path, monkeypatch):
+    config = parse_scenario({
+        "dims": {"m": 2, "n": 1},
+        "connection": {"lambda": [["1", "0.5*q1"]]},
+        "path": {"kind": "closed_form",
+                 "components": ["0.5*cos(t)", "0.5*sin(t)"],
+                 "span": [0.0, 6.283185307179586], "closed": True},
+        "hamiltonian": [],
+        "grid": {"N": 16, "L": 5.0},
+        "integrator": {"steps": 8, "unitary_steps": 4, "segments": 16,
+                       "segment_counts": [4, 8, 16]},
+        "initial": {"center": 0.1, "width": 1.0, "kick": 0.0},
+        "reparam": {"warp": "t + 0.5*t*(6.283185307179586 - t)"
+                            "/6.283185307179586"},
+        "outputs": ["convergence", "reparametrization"],
+    })
+    made = []
+
+    def counted(dh, *args, **kwargs):
+        made.append((dh.path is config.path, kwargs["segments"]))
+        return geometric_factor(dh, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "geometric_factor", counted)
+    runner.run(config, tmp_path)
+    assert sorted(made) == [(False, 16), (True, 4), (True, 8), (True, 16)]
 
 
 def test_geometric_phase_abelian_oracle():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -406,6 +408,21 @@ def test_symmetric_ordering_hermitian_left_not():
     left = quantize_polynomial(f, g, ordering="left").dense()
     right = quantize_polynomial(f, g, ordering="right").dense()
     assert np.allclose(sym, 0.5 * (left + right), atol=1e-12)
+
+
+def test_symmetric_ordering_is_hermitian_to_the_bit():
+    # three factors (q1^2 p1) p1 p1: the product-plus-adjoint pairs must
+    # equal the average over all six orders and be exactly Hermitian
+    g = FiberGrid((16,), (3.0,))
+    f = P(1, {(1, 1, 1): Var("q1") ** 2})
+    sym = quantize_polynomial(f, g).dense()
+    assert np.array_equal(sym, sym.conj().T)
+    mats = [quantize_affine(P(1, {(1,): Var("q1") ** 2}), g).dense(),
+            derivative_matrix(g).dense() * -1j,
+            derivative_matrix(g).dense() * -1j]
+    average = sum(mats[a] @ mats[b] @ mats[c]
+                  for a, b, c in itertools.permutations(range(3))) / 6
+    assert np.linalg.norm(sym - average) <= 1e-12 * np.linalg.norm(average)
 
 
 def test_ordering_validation():
