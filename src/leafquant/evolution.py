@@ -1,14 +1,26 @@
 """Time-ordered evolution and the geometric factor along parameter paths.
 
-The driven generator splits as H(t) = G(t) + H'(t): G is the affine
-drift induced by the connection contracted with the parameter velocity,
-H' collects the frame drift and the polynomial Hamiltonian evaluated at
-the frozen parameter point.  U is the midpoint-ordered product of exact
-Hermitian-eigendecomposition exponentials, so unitarity holds to
-rounding at every step count.  The geometric factor is integrated in
-parameter-increment form: each segment uses the increment of the path
-values, not the clock, which makes invariance under monotone
-reparametrization structural.
+The driven Hamiltonian is affine in the parameter rates v = sigma'(t):
+
+    H* = H(t, s, q, p) + p_k (drift^k(t, s, q) + v^lam Lambda^k_lam(t, s, q)).
+
+``DrivenHamiltonian`` builds it once, as symbolic observables over the
+rate variables v1..vm: the geometric part G = p_k v^lam Lambda^k_lam,
+the affine slice H'_aff (frame drift plus the degree <= 1 part of H),
+their sum, and H* itself, which adds the momentum-degree >= 2 part of H.
+Everything else binds numbers into these observables:
+
+- G(t) and H'(t) = H'_aff + the high part are quantized at
+  (t, sigma(t), sigma'(t)); the full generator G + H' is one affine
+  fill of G + H'_aff plus the high part.
+- A transport segment quantizes G at its midpoint with the rates bound
+  to the parameter increment, v = delta sigma.  Only the traced image
+  curve enters, so invariance under monotone reparametrization is
+  structural; a commuting family telescopes to v = sigma(t1) - sigma(t0).
+- The classical flow is the Hamiltonian vector field of H*.
+
+U is the midpoint-ordered product of exact Hermitian-eigendecomposition
+exponentials, so unitarity holds to rounding at every step count.
 
 Small exponentials are applied, not formed: one adaptive Taylor series
 of sparse products acts on a state (the fine-step state propagator, on
@@ -31,8 +43,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .bundle import BundleModel, ParameterPath, reparametrize_path
-from .expressions import Const, EvaluationError
-from .observables import BumpCover, PolynomialObservable
+from .expressions import Const, EvaluationError, Var
+from .observables import (
+    BumpCover,
+    PolynomialObservable,
+    hamiltonian_vector_field,
+)
 from .operators import (
     ORDERINGS,
     FiberGrid,
@@ -44,6 +60,7 @@ from .operators import (
     position_expectations,
     quantize_affine,
     quantize_polynomial,
+    _relative_defect,
 )
 
 __all__ = [
@@ -82,7 +99,12 @@ TRANSPORT_TAYLOR_TOL = 1e-16
 
 @dataclass
 class DrivenHamiltonian:
-    """Bundle + path + polynomial Hamiltonian + grid, ready to propagate."""
+    """Bundle + path + polynomial Hamiltonian + grid, ready to propagate.
+
+    Construction builds the driven Hamiltonian's observables once, over
+    the rate variables v1..vm: ``geometric`` (G), ``affine`` (H'_aff),
+    ``driven_affine`` (G + H'_aff) and ``star`` (H*).
+    """
 
     bundle: BundleModel
     path: ParameterPath
@@ -106,15 +128,21 @@ class DrivenHamiltonian:
             raise ValueError(
                 f"Hamiltonian references '{sorted(stray)[0]}' outside the "
                 f"scenario variables {sorted(allowed)}")
-        n = self.grid.dim
+        n, m = self.grid.dim, self.bundle.n_parameters
         terms = self.hamiltonian.terms
         affine = {i: c for i, c in terms.items() if len(i) <= 1}
         for k, d in enumerate(self.bundle.time_drift):
             if d != _ZERO:
                 affine[(k + 1,)] = affine.get((k + 1,), _ZERO) + d
-        self._affine = PolynomialObservable(n, affine)
+        rates = [Var(f"v{lam + 1}") for lam in range(m)]
+        self.geometric = PolynomialObservable(n, {
+            (k + 1,): sum((v * c for v, c in zip(rates, row)), _ZERO)
+            for k, row in enumerate(self.bundle.sigma_coupling)})
+        self.affine = PolynomialObservable(n, affine)
+        self.driven_affine = self.geometric + self.affine
         self._high_part = PolynomialObservable(
             n, {i: c for i, c in terms.items() if len(i) >= 2})
+        self.star = self.driven_affine + self._high_part
         qvars = {f"q{k}" for k in range(1, n + 1)}
         self._high_static = self._high_part.free_variables() <= qvars
         self._high_matrix: sp.csr_array | None = None
@@ -127,30 +155,6 @@ class DrivenHamiltonian:
     @property
     def span(self) -> tuple[float, float]:
         return self.path.span
-
-    def geometric_observable(self, t: float) -> PolynomialObservable:
-        """The increment observable v^lam Lambda^k_lam p_k at clock rate."""
-        v = self.path.velocity(t)
-        return self.increment_observable(v)
-
-    def increment_observable(self, weights) -> PolynomialObservable:
-        """sum_k (sum_lam w_lam Lambda^k_lam) p_k for numeric weights."""
-        n, m = self.grid.dim, self.bundle.n_parameters
-        terms = {}
-        for k in range(n):
-            tree = _ZERO
-            for lam in range(m):
-                tree = tree + float(weights[lam]) \
-                    * self.bundle.sigma_coupling[k][lam]
-            if tree != _ZERO:
-                terms[(k + 1,)] = tree
-        return PolynomialObservable(n, terms)
-
-    def _drift_observable(self) -> PolynomialObservable:
-        n = self.grid.dim
-        terms = {(k + 1,): self.bundle.time_drift[k] for k in range(n)
-                 if self.bundle.time_drift[k] != _ZERO}
-        return PolynomialObservable(n, terms)
 
     def high_matrix(self, t: float, sigma) -> sp.csr_array | None:
         """Momentum-degree >= 2 part, cached when parameter-independent."""
@@ -167,29 +171,32 @@ class DrivenHamiltonian:
                                    cover=self.cover,
                                    ordering=self.ordering).matrix
 
-    def hamiltonian_affine(self) -> PolynomialObservable:
-        """Degree <= 1 slice of H plus the frame drift, still symbolic."""
-        return self._affine
 
-
-def geometric_generator(dh: DrivenHamiltonian, t: float) -> LinearOperator:
-    """Hermitian generator of the connection drift at clock time t."""
-    sigma = dh.path.value(t)
-    return quantize_affine(dh.geometric_observable(t), dh.grid, t, sigma)
-
-
-def dynamic_operator(dh: DrivenHamiltonian, t: float) -> LinearOperator:
-    """The frozen-parameter Hamiltonian H'(t), Hermitian."""
-    sigma = dh.path.value(t)
-    op = quantize_affine(dh.hamiltonian_affine(), dh.grid, t, sigma)
+def _with_high(dh: DrivenHamiltonian, f: PolynomialObservable, t: float,
+               sigma, rate=()) -> LinearOperator:
+    """quantize_affine of ``f`` plus the momentum-degree >= 2 part of H."""
+    op = quantize_affine(f, dh.grid, t, sigma, rate)
     high = dh.high_matrix(t, sigma)
     if high is not None:
         op = LinearOperator(dh.grid, op.matrix + high)
     return op
 
 
+def geometric_generator(dh: DrivenHamiltonian, t: float) -> LinearOperator:
+    """Hermitian generator G of the connection drift at clock time t."""
+    return quantize_affine(dh.geometric, dh.grid, t, dh.path.value(t),
+                           dh.path.velocity(t))
+
+
+def dynamic_operator(dh: DrivenHamiltonian, t: float) -> LinearOperator:
+    """The frozen-parameter Hamiltonian H'(t), Hermitian."""
+    return _with_high(dh, dh.affine, t, dh.path.value(t))
+
+
 def full_generator(dh: DrivenHamiltonian, t: float) -> LinearOperator:
-    return geometric_generator(dh, t) + dynamic_operator(dh, t)
+    """G(t) + H'(t), quantized as one affine fill plus the high part."""
+    return _with_high(dh, dh.driven_affine, t, dh.path.value(t),
+                      dh.path.velocity(t))
 
 
 # -- results -------------------------------------------------------------
@@ -290,8 +297,7 @@ def _is_static(dh: DrivenHamiltonian) -> bool:
 def _gated_dense(h: LinearOperator, tol: float = HERMITICITY_STEP_TOL):
     """h as an ndarray and its relative hermiticity defect (at most tol)."""
     m = h.dense()
-    scale = max(1.0, np.linalg.norm(m))
-    defect = float(np.linalg.norm(m - m.conj().T) / scale)
+    defect = _relative_defect(m)
     if defect > tol:
         raise RuntimeError(
             f"step generator lost hermiticity (relative defect {defect:.3e})")
@@ -409,9 +415,8 @@ def _geometric_product(dh: DrivenHamiltonian, times: np.ndarray,
                for c in row))
     if abelian:
         # One commuting family: the increments telescope exactly.
-        total = sig[-1] - sig[0]
-        obs = dh.increment_observable(total)
-        op = quantize_affine(obs, dh.grid, float(times[0]), sig[0])
+        op = quantize_affine(dh.geometric, dh.grid, float(times[0]), sig[0],
+                             sig[-1] - sig[0])
         u = expm_hermitian(op, prefactor=-1j)
         phase = None
         if initial is not None:
@@ -424,11 +429,10 @@ def _geometric_product(dh: DrivenHamiltonian, times: np.ndarray,
     prev = initial
     phase = 0.0
     for j in range(len(times) - 1):
-        dsig = sig[j + 1] - sig[j]
         smid = 0.5 * (sig[j + 1] + sig[j])
         tmid = 0.5 * (times[j + 1] + times[j])
-        obs = dh.increment_observable(dsig)
-        op = quantize_affine(obs, dh.grid, float(tmid), smid)
+        op = quantize_affine(dh.geometric, dh.grid, float(tmid), smid,
+                             sig[j + 1] - sig[j])
         _gated_dense(op)
         h = op.matrix
         norm1 = np.bincount(h.indices, weights=np.abs(h.data),
@@ -561,8 +565,9 @@ def propagate_state(dh: DrivenHamiltonian, initial: WaveSection, steps: int,
     phi = psi0.copy() if with_geometric else None
 
     def generators(t: float):
-        g = geometric_generator(dh, t).matrix
-        return g + dynamic_operator(dh, t).matrix, g
+        sigma, rate = dh.path.value(t), dh.path.velocity(t)
+        g = quantize_affine(dh.geometric, grid, t, sigma, rate).matrix
+        return _with_high(dh, dh.driven_affine, t, sigma, rate).matrix, g
 
     fixed = generators(0.5 * (t0 + t1)) if _is_static(dh) else None
 
@@ -640,52 +645,26 @@ def classical_hamilton_flow(dh: DrivenHamiltonian, initial: ClassicalState,
                             t_start: float | None = None) -> ClassicalTrajectory:
     """Fixed-step 4th-order Runge-Kutta flow of the driven Hamiltonian.
 
-    The vector field uses exact symbolic partials: the drift contributes
-    velocity-weighted coupling components to dq/dt and their coordinate
-    gradients (weighted by p) to dp/dt; the polynomial part contributes
-    its own momentum and coordinate partials.
+    The vector field is the Hamiltonian vector field of H*, with exact
+    symbolic partials: dq_k/dt = dH*/dp_k, dp_k/dt = -dH*/dq_k.  Each
+    stage evaluates it at its clock time t with s = sigma(t) and the
+    rates v = sigma'(t) bound numerically.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
     t0, t1 = _resolve_span(dh, t_start, t_end)
-    n, m = dh.grid.dim, dh.bundle.n_parameters
+    n = dh.grid.dim
     q0 = np.asarray(initial.q, float)
     if q0.shape != (n,):
         raise ValueError(f"initial state needs {n} coordinates")
-
-    dp_obs = [dh.hamiltonian.partial_p(k + 1) for k in range(n)]
-    dq_obs = [dh.hamiltonian.partial_q(k + 1) for k in range(n)]
-    coup_grad = [[[dh.bundle.sigma_coupling[j][lam].diff(f"q{k + 1}")
-                   for lam in range(m)] for j in range(n)]
-                 for k in range(n)]
-    drift_grad = [[dh.bundle.time_drift[j].diff(f"q{k + 1}")
-                   for j in range(n)] for k in range(n)]
+    field = hamiltonian_vector_field(dh.star)
+    components = (*field.dq, *field.dp)
 
     def rhs(t, y):
         q, p = y[:n], y[n:]
-        sigma = dh.path.value(t)
-        v = dh.path.velocity(t)
-        binding = {"t": t}
-        for i in range(m):
-            binding[f"s{i + 1}"] = float(sigma[i])
-        for k in range(n):
-            binding[f"q{k + 1}"] = float(q[k])
-        qdot = np.empty(n)
-        pdot = np.empty(n)
-        for k in range(n):
-            drift = dh.bundle.time_drift[k].evaluate(binding)
-            for lam in range(m):
-                drift += v[lam] * dh.bundle.sigma_coupling[k][lam].evaluate(
-                    binding)
-            qdot[k] = drift + dp_obs[k].evaluate(t, sigma, q, p)
-            grad = 0.0
-            for j in range(n):
-                row = drift_grad[k][j].evaluate(binding)
-                for lam in range(m):
-                    row += v[lam] * coup_grad[k][j][lam].evaluate(binding)
-                grad += p[j] * row
-            pdot[k] = -(grad + dq_obs[k].evaluate(t, sigma, q, p))
-        return np.concatenate([qdot, pdot])
+        sigma, rate = dh.path.value(t), dh.path.velocity(t)
+        return np.array([f.evaluate(t, sigma, q, p, rate)
+                         for f in components])
 
     dt = (t1 - t0) / steps
     times = np.linspace(t0, t1, steps + 1)

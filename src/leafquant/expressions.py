@@ -866,12 +866,3 @@ def diff(e: Expression, var: str) -> Expression:
 
 def evaluate(e: Expression, binding: Mapping[str, Number | np.ndarray]):
     return e.evaluate(binding)
-
-
-def variables_for(m: int, n: int, extra: Iterable[str] = ()) -> list[str]:
-    """Conventional variable names: t, s1..sm, q1..qn plus extras."""
-    names = ["t"]
-    names += [f"s{i}" for i in range(1, m + 1)]
-    names += [f"q{i}" for i in range(1, n + 1)]
-    names.extend(extra)
-    return names

@@ -2,7 +2,8 @@
 
 An observable is a polynomial in the fiber momenta ``p_1..p_n`` whose
 coefficients are expressions in time ``t``, the classical parameters
-``s1..sm`` and the fiber coordinates ``q1..qn``.  The module carries the
+``s1..sm`` and the fiber coordinates ``q1..qn`` (the driven Hamiltonian
+adds the parameter rates ``v1..vm``).  The module carries the
 fiberwise Poisson bracket, Hamiltonian vector fields, smooth bump covers
 with their partitions of unity, and the rewrite of any such polynomial
 as a sum of products of momentum-affine factors (the form the
@@ -213,34 +214,22 @@ class PolynomialObservable:
         return PolynomialObservable(
             self.dim, {i: c.diff(f"q{k}") for i, c in self.terms.items()})
 
-    def partial_var(self, name: str) -> "PolynomialObservable":
-        return PolynomialObservable(
-            self.dim, {i: c.diff(name) for i, c in self.terms.items()})
-
     # -- evaluation ------------------------------------------------------
 
-    def bind_parameters(self, t: float | None = None,
-                        sigma: Sequence[float] | None = None) -> "PolynomialObservable":
-        """Freeze time and parameter variables, leaving q (and p) free."""
-        subs: dict[str, float] = {}
-        if t is not None:
-            subs["t"] = float(t)
-        if sigma is not None:
-            subs.update({f"s{i + 1}": float(v) for i, v in enumerate(sigma)})
-        return PolynomialObservable(
-            self.dim, {i: c.substitute(subs) for i, c in self.terms.items()})
-
-    def evaluate(self, t, sigma, q, p):
+    def evaluate(self, t, sigma, q, p, rate=()):
         """Pointwise value.
 
         ``q`` and ``p`` are indexed by coordinate: q[0] is the first
         fiber coordinate, either a scalar or an array of sample values
-        (all components then broadcast together).
+        (all components then broadcast together).  ``rate`` binds the
+        parameter rates ``v1..vm`` as ``sigma`` binds ``s1..sm``.
         """
         binding = {"t": t}
         if sigma is not None:
             for i, v in enumerate(sigma):
                 binding[f"s{i + 1}"] = v
+        for i, v in enumerate(rate):
+            binding[f"v{i + 1}"] = v
         for i in range(self.dim):
             binding[f"q{i + 1}"] = q[i]
         total = 0.0

@@ -319,65 +319,77 @@ def derivative_matrix(grid: FiberGrid, axis: int = 0) -> LinearOperator:
     return LinearOperator(grid, st.csr(data))
 
 
-def _sample(expr: Expression, grid: FiberGrid) -> np.ndarray:
-    binding = {f"q{a + 1}": c for a, c in enumerate(grid.coordinates())}
+def _sample(expr: Expression, binding: dict, size: int) -> np.ndarray:
     out = expr.evaluate(binding)
     if np.ndim(out) == 0:
-        return np.full(grid.size, float(out))
+        return np.full(size, float(out))
     return np.asarray(out, dtype=float)
 
 
-def _bind_affine(f: PolynomialObservable, grid: FiberGrid, t, sigma):
+def _bind_affine(f: PolynomialObservable, grid: FiberGrid, t, sigma, rate):
+    """(a_1..a_n, b) of an affine observable and one numeric binding.
+
+    The binding holds t, s1.., v1.. and the grid coordinates q1..;
+    the coefficient trees are sampled under it as they are.
+    """
     if f.dim != grid.dim:
         raise ValueError("observable and grid dimensions differ")
-    a, b = f.bind_parameters(t, sigma).linear_coefficients()
-    fiber_vars = {f"q{k}" for k in range(1, grid.dim + 1)}
+    a, b = f.linear_coefficients()
+    binding = {"t": float(t)}
+    binding.update((f"s{i + 1}", float(x)) for i, x in enumerate(sigma))
+    binding.update((f"v{i + 1}", float(x)) for i, x in enumerate(rate))
+    binding.update((f"q{k + 1}", c) for k, c in enumerate(grid.coordinates()))
     for e in (*a, b):
-        stray = e.free_variables() - fiber_vars
+        stray = e.free_variables() - binding.keys()
         if stray:
             raise ValueError(
-                f"sigma/t binding incomplete: '{sorted(stray)[0]}' remains "
-                f"free in coefficient '{e.to_source()}'")
-    return a, b
+                f"t/sigma/rate binding incomplete: '{sorted(stray)[0]}' "
+                f"remains free in coefficient '{e.to_source()}'")
+    return a, b, binding
 
 
 def quantize_affine(f: PolynomialObservable, grid: FiberGrid,
-                    t: float = 0.0, sigma: Sequence[float] = ()) -> LinearOperator:
+                    t: float = 0.0, sigma: Sequence[float] = (),
+                    rate: Sequence[float] = ()) -> LinearOperator:
     """Hermitian operator of a momentum-affine observable.
 
-    The drift part is assembled in the symmetrized form, which for the
+    The coefficients are sampled at clock time ``t``, parameters
+    ``sigma`` (s1..sm) and parameter rates ``rate`` (v1..vm); a
+    coefficient that keeps a variable unbound raises ValueError.  The
+    drift part is assembled in the symmetrized form, which for the
     antisymmetric difference matrix is Hermitian exactly; q^1 p_1, for
     instance, becomes -(i/2)(Q D + D Q).
     """
-    a, b = _bind_affine(f, grid, t, sigma)
+    a, b, binding = _bind_affine(f, grid, t, sigma, rate)
     st = _stencil(grid)
     data = np.zeros(len(st.indices), dtype=complex)
-    data[st.diagonal] = _sample(b, grid)
+    data[st.diagonal] = _sample(b, binding, grid.size)
     for k in range(grid.dim):
-        ak = _sample(a[k], grid)
+        ak = _sample(a[k], binding, grid.size)
         rows, cols = st.rows[k], st.cols[k]
         data[st.slots[k]] = (-0.5j) * (st.steps[k] * (ak[rows] + ak[cols]))
     return LinearOperator(grid, st.csr(data))
 
 
 def quantize_affine_literal(f: PolynomialObservable, grid: FiberGrid,
-                            t: float = 0.0,
-                            sigma: Sequence[float] = ()) -> LinearOperator:
+                            t: float = 0.0, sigma: Sequence[float] = (),
+                            rate: Sequence[float] = ()) -> LinearOperator:
     """One-sided assembly -i a^k D_k - (i/2) div(a) + b.
 
     Kept as an independent route: it matches the symmetrized form on
     smooth states to second order in the spacing but is not Hermitian
     once the drift varies, which the tests exploit.
     """
-    a, b = _bind_affine(f, grid, t, sigma)
+    a, b, binding = _bind_affine(f, grid, t, sigma, rate)
     st = _stencil(grid)
     data = np.zeros(len(st.indices), dtype=complex)
     divergence = np.zeros(grid.size)
     for k in range(grid.dim):
-        ak = _sample(a[k], grid)
+        ak = _sample(a[k], binding, grid.size)
         data[st.slots[k]] = (-1j) * (ak[st.rows[k]] * st.steps[k])
-        divergence = divergence + _sample(a[k].diff(f"q{k + 1}"), grid)
-    data[st.diagonal] = _sample(b, grid) + (-0.5j) * divergence
+        divergence = divergence + _sample(a[k].diff(f"q{k + 1}"), binding,
+                                          grid.size)
+    data[st.diagonal] = _sample(b, binding, grid.size) + (-0.5j) * divergence
     return LinearOperator(grid, st.csr(data))
 
 

@@ -332,7 +332,10 @@ def expm_transport(dh, segments):
     sig = dh.path.values(times)
     u = np.eye(dh.grid.size, dtype=complex)
     for j in range(segments):
-        obs = dh.increment_observable(sig[j + 1] - sig[j])
+        dsig = sig[j + 1] - sig[j]
+        obs = P(dh.grid.dim, {
+            (k + 1,): sum(float(w) * lam for w, lam in zip(dsig, row))
+            for k, row in enumerate(dh.bundle.sigma_coupling)})
         h = quantize_affine(obs, dh.grid, 0.5 * (times[j] + times[j + 1]),
                             0.5 * (sig[j] + sig[j + 1])).dense()
         u = scipy.linalg.expm(-1j * h) @ u
@@ -532,6 +535,42 @@ def test_classical_driven_oscillator_closed_form():
     p_ref = -u0 * np.sin(t) + p0 * np.cos(t)
     assert np.max(np.abs(traj.positions[:, 0] - q_ref)) < 1e-6
     assert np.max(np.abs(traj.momenta[:, 0] - p_ref)) < 1e-6
+
+
+def test_classical_coupling_and_time_drift_closed_form():
+    # H* = (0.7 sigma' + 0.3) q1 p1: q grows and p shrinks by exp(E)
+    bundle = BundleModel(1, 1, ((0.7 * Var("q1"),),), (0.3 * Var("q1"),))
+    path = ParameterPath.from_expressions([expr("0.4*sin(t)", ["t"])],
+                                          span=(0.0, 3.0))
+    dh = DrivenHamiltonian(bundle, path, P(1, {}), FiberGrid((16,), (3.0,)))
+    q0, p0 = 0.6, -0.9
+    traj = classical_hamilton_flow(dh, ClassicalState([q0], [p0]),
+                                   steps=3000)
+    t = traj.times
+    e = 0.7 * (0.4 * np.sin(t)) + 0.3 * t
+    assert np.max(np.abs(traj.positions[:, 0] - q0 * np.exp(e))) < 1e-10
+    assert np.max(np.abs(traj.momenta[:, 0] - p0 * np.exp(-e))) < 1e-10
+
+
+def test_classical_coupling_gradient_two_axes_rotates():
+    # H* = sigma' (q2 p1 - q1 p2): q and p both turn by sigma(t) - sigma(0);
+    # a transposed index in p_j d_k Lambda^j flips the sign of dp/dt
+    bundle = BundleModel(1, 2, ((Var("q2"),), (-Var("q1"),)))
+    path = ParameterPath.from_expressions([expr("0.4*sin(t)", ["t"])],
+                                          span=(0.0, 3.0))
+    dh = DrivenHamiltonian(bundle, path, P(2, {}),
+                           FiberGrid((8, 8), (3.0, 3.0)))
+    q0, p0 = np.array([0.5, -0.3]), np.array([0.2, 0.7])
+    traj = classical_hamilton_flow(dh, ClassicalState(q0, p0), steps=3000)
+    theta = 0.4 * np.sin(traj.times)
+    cos, sin = np.cos(theta), np.sin(theta)
+
+    def turned(x):
+        return np.stack([x[0] * cos + x[1] * sin,
+                         -x[0] * sin + x[1] * cos], axis=1)
+
+    assert np.max(np.abs(traj.positions - turned(q0))) < 1e-10
+    assert np.max(np.abs(traj.momenta - turned(p0))) < 1e-10
 
 
 def test_classical_divergence_reported():

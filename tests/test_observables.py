@@ -144,14 +144,6 @@ def test_affine_queries():
         (f * P.momentum(1, 2)).linear_coefficients()
 
 
-def test_bind_parameters():
-    f = P.affine([parse_expr("s1*t", None)], parse_expr("q1 - s1", None), 1)
-    g = f.bind_parameters(t=2.0, sigma=[0.5])
-    assert g.coefficient((1,)) == Const(1.0)
-    assert g.coefficient(()) == parse_expr("q1 - 0.5", ["q1"])
-    assert "t" not in g.free_variables()
-
-
 def test_trivial_cover_partition():
     cover = BumpCover.trivial(2)
     assert cover.partition(3) == [Const(1.0)]

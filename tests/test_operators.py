@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+from hypothesis import given, strategies as st
 
 from leafquant.expressions import Const, Var, parse_expr
 from leafquant.observables import (
@@ -309,6 +310,46 @@ def test_affine_dense_equals_dense_formula_bitwise():
         for k in range(g.dim):
             assert np.array_equal(derivative_matrix(g, k).dense(),
                                   _dense_difference(g, k))
+
+
+def _rate_affine(dim, c):
+    """Affine observable whose coefficients use t, s1, v1 and the fiber."""
+    q = [Var(f"q{k + 1}") for k in range(dim)]
+    t, s1, v1 = Var("t"), Var("s1"), Var("v1")
+    a = [c[0] + c[1] * t * q[0] + v1 * (1.0 + c[2] * q[-1] ** 2)]
+    if dim == 2:
+        a.append(c[3] * s1 * q[0] * q[1] + parse_expr(
+            "sin(s1 + q2)", allowed_vars=["s1", "q2"]))
+    b = c[4] * q[0] ** 2 + c[5] * v1 * s1 + parse_expr(
+        "cos(t)", allowed_vars=["t"]) * q[-1]
+    return affine(a, b, dim=dim)
+
+
+@given(c=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
+       t=st.floats(-3.0, 3.0), s=st.floats(-1.0, 1.0),
+       v=st.floats(-2.0, 2.0))
+def test_numeric_binding_matches_substitution(c, t, s, v):
+    for g in (FiberGrid((32,), (4.0,)), FiberGrid((8, 8), (3.0, 2.0))):
+        f = _rate_affine(g.dim, c)
+        m = quantize_affine(f, g, t, (s,), (v,)).dense()
+        assert np.array_equal(m, m.conj().T)
+        # reference: substitute the numbers symbolically, then sample
+        a, b = f.linear_coefficients()
+        subs = {"t": t, "s1": s, "v1": v}
+        coords = {f"q{k + 1}": x for k, x in enumerate(g.coordinates())}
+
+        def sampled(e):
+            return np.broadcast_to(e.substitute(subs).evaluate(coords),
+                                   (g.size,))
+
+        ref = np.diag(sampled(b).astype(complex))
+        for k in range(g.dim):
+            ak = sampled(a[k])
+            ref = ref + (-0.5j) * (_dense_difference(g, k)
+                                   * (ak[:, None] + ak[None, :]))
+        assert np.linalg.norm(m - ref) <= 1e-14 * np.linalg.norm(ref)
+        with pytest.raises(ValueError, match="binding incomplete.*v1"):
+            quantize_affine(f, g, t, (s,))
 
 
 def test_mixed_storage_arithmetic_matches_dense():
