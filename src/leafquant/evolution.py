@@ -19,6 +19,17 @@ Everything else binds numbers into these observables:
   structural; a commuting family telescopes to v = sigma(t1) - sigma(t0).
 - The classical flow is the Hamiltonian vector field of H*.
 
+The hot loops sample these numbers for a whole window at once: the
+state propagator reads sigma and sigma' at every step midpoint, and the
+transport product every segment's midpoint and increment, in one path
+call each.  ``quantize_affine_block`` then fills the data of G + H'_aff
+and of G (or of the segment generators) for a block of rows, at most
+``BLOCK_BYTES`` of complex entries, and each step or segment only
+points one reused CSR array at its row.  A parameter-free high part is
+added once per block, on the union of the stencil pattern and its own;
+a parameter-dependent one is quantized and added at every step.  The
+classical flow reads the path at all its RK4 stage times at once.
+
 U is the midpoint-ordered product of exact Hermitian-eigendecomposition
 exponentials, so unitarity holds to rounding at every step count.
 
@@ -36,6 +47,7 @@ eigendecomposition.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -59,8 +71,10 @@ from .operators import (
     momentum_expectations,
     position_expectations,
     quantize_affine,
+    quantize_affine_block,
     quantize_polynomial,
     _relative_defect,
+    _stencil,
 )
 
 __all__ = [
@@ -95,6 +109,9 @@ TRANSPORT_SUBSTEP_NORM = 2.0
 # stops each at rounding to stay unitary to about 1e-13
 STATE_TAYLOR_TOL = 1e-13
 TRANSPORT_TAYLOR_TOL = 1e-16
+# bytes of complex generator data filled at once: a long window is
+# sampled in blocks of rows, so it adds little to peak memory
+BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -424,26 +441,31 @@ def _geometric_product(dh: DrivenHamiltonian, times: np.ndarray,
         return u, phase
 
     # each small increment acts on the running product, so no segment
-    # exponential is formed; the tracked state is read off the product
+    # exponential is formed; the tracked state is read off the product.
+    # Segment j binds the rates to its increment at its midpoint.
+    tmid = 0.5 * (times[1:] + times[:-1])
+    smid = 0.5 * (sig[1:] + sig[:-1])
+    delta = sig[1:] - sig[:-1]
+    st = _stencil(dh.grid)
+    h = st.csr(np.zeros(len(st.indices), dtype=complex))
     u = np.eye(dh.grid.size, dtype=complex)
     prev = initial
     phase = 0.0
-    for j in range(len(times) - 1):
-        smid = 0.5 * (sig[j + 1] + sig[j])
-        tmid = 0.5 * (times[j + 1] + times[j])
-        op = quantize_affine(dh.geometric, dh.grid, float(tmid), smid,
-                             sig[j + 1] - sig[j])
-        _gated_dense(op)
-        h = op.matrix
-        norm1 = np.bincount(h.indices, weights=np.abs(h.data),
-                            minlength=h.shape[1]).max()
-        substeps = max(1, math.ceil(norm1 / TRANSPORT_SUBSTEP_NORM))
-        for _ in range(substeps):
-            u = _taylor_apply(h, u, 1.0 / substeps, TRANSPORT_TAYLOR_TOL)
-        if initial is not None:
-            psi = u @ initial
-            phase += float(np.angle(np.vdot(prev, psi)))
-            prev = psi
+    for rows in _blocks(len(tmid), len(st.indices)):
+        block = quantize_affine_block(dh.geometric, dh.grid, tmid[rows],
+                                      smid[rows], delta[rows])
+        for row in block:
+            h.data = row
+            _gated_dense(LinearOperator(dh.grid, h))
+            norm1 = np.bincount(h.indices, weights=np.abs(h.data),
+                                minlength=h.shape[1]).max()
+            substeps = max(1, math.ceil(norm1 / TRANSPORT_SUBSTEP_NORM))
+            for _ in range(substeps):
+                u = _taylor_apply(h, u, 1.0 / substeps, TRANSPORT_TAYLOR_TOL)
+            if initial is not None:
+                psi = u @ initial
+                phase += float(np.angle(np.vdot(prev, psi)))
+                prev = psi
     return u, (phase if initial is not None else None)
 
 
@@ -516,6 +538,50 @@ def _dynamic_only(dh, t0, t1, steps) -> LinearOperator:
 # -- state-only propagation ---------------------------------------------
 
 
+def _blocks(count: int, nnz: int) -> list[slice]:
+    """Slices cutting ``count`` rows of ``nnz`` complex entries into
+    blocks of at most BLOCK_BYTES, and at least one row."""
+    width = max(1, BLOCK_BYTES // (16 * nnz))
+    return [slice(lo, lo + width) for lo in range(0, count, width)]
+
+
+def _state_generators(dh: DrivenHamiltonian, mids: np.ndarray,
+                      with_geometric: bool):
+    """Yield (G + H', G) at each midpoint; G is None without geometry.
+
+    sigma and sigma' are read at all midpoints at once, and the affine
+    data of G + H'_aff and G is filled a block of rows at a time into
+    one reused CSR array per kind, so a yielded pair is valid until the
+    next.  A static high part lives on the union of the stencil pattern
+    and its own, and its values are added once per block; a
+    parameter-dependent one is quantized and added at every step.
+    """
+    grid = dh.grid
+    st = _stencil(grid)
+    sig, rate = dh.path.values(mids), dh.path.velocities(mids)
+    high = dh.high_matrix(mids[0], sig[0]) if dh._high_static else None
+    full = st.csr(np.zeros(len(st.indices), dtype=complex))
+    geo = full.copy() if with_geometric else None
+    if high is not None:
+        full, place, high_row = st.union(high)
+    for rows in _blocks(len(mids), full.nnz):
+        t, s, v = mids[rows], sig[rows], rate[rows]
+        block = quantize_affine_block(dh.driven_affine, grid, t, s, v)
+        if high is not None:
+            block, affine = np.tile(high_row, (len(block), 1)), block
+            block[:, place] += affine
+        geo_block = (quantize_affine_block(dh.geometric, grid, t, s, v)
+                     if geo is not None else None)
+        for i, row in enumerate(block):
+            full.data = row
+            h_full = full
+            if not dh._high_static:
+                h_full = full + dh.high_matrix(t[i], s[i])
+            if geo is not None:
+                geo.data = geo_block[i]
+            yield h_full, geo
+
+
 def _taylor_apply(h: sp.csr_array, x: np.ndarray, dt: float, tol: float,
                   max_terms: int = 64) -> np.ndarray:
     """exp(-i dt h) applied to a vector or to an N x N block.
@@ -544,12 +610,14 @@ def propagate_state(dh: DrivenHamiltonian, initial: WaveSection, steps: int,
                     with_geometric: bool = True) -> StateTrajectory:
     """Propagate a state at fine step counts without per-step eigh.
 
-    Each step assembles the geometric generator G(t_mid) and the full
-    generator G + H'(t_mid) as the dense pass does, and applies
-    exp(-i dt H) by an adaptive Taylor series of matrix-vector products;
-    a static window is assembled once.  A companion state carrying only
-    G is propagated alongside (``with_geometric``) so the per-time
-    geometric phase column comes out unwrapped.
+    Each step takes the geometric generator G(t_mid) and the full
+    generator G + H'(t_mid), with the entries the dense pass assembles,
+    and applies exp(-i dt H) by an adaptive Taylor series of
+    matrix-vector products.  The generators are sampled in blocks of
+    steps (``_state_generators``); a static window is one row.  A
+    companion state carrying only G is propagated alongside
+    (``with_geometric``) so the per-time geometric phase column comes
+    out unwrapped.
     """
     if initial.grid != dh.grid:
         raise ValueError("initial state lives on a different grid")
@@ -564,19 +632,18 @@ def propagate_state(dh: DrivenHamiltonian, initial: WaveSection, steps: int,
     psi = psi0.copy()
     phi = psi0.copy() if with_geometric else None
 
-    def generators(t: float):
-        sigma, rate = dh.path.value(t), dh.path.velocity(t)
-        g = quantize_affine(dh.geometric, grid, t, sigma, rate).matrix
-        return _with_high(dh, dh.driven_affine, t, sigma, rate).matrix, g
-
-    fixed = generators(0.5 * (t0 + t1)) if _is_static(dh) else None
+    if _is_static(dh):
+        gens = itertools.repeat(next(_state_generators(
+            dh, np.array([0.5 * (t0 + t1)]), with_geometric)), steps)
+    else:
+        gens = _state_generators(dh, 0.5 * (times[:-1] + times[1:]),
+                                 with_geometric)
 
     records = list(range(0, steps + 1, record_every))
     if records[-1] != steps:
         records.append(steps)
     rec_idx = set(records)
-    rows = {name: [] for name in
-            ("t", "sig", "rate", "pos", "mom", "norm")}
+    rows = {name: [] for name in ("pos", "mom", "norm")}
     # unwrapped lift of t -> arg<psi0|psi(t)>, stepped so each increment
     # stays in (-pi, pi]
     args_total = [0.0]
@@ -588,11 +655,7 @@ def propagate_state(dh: DrivenHamiltonian, initial: WaveSection, steps: int,
         return running + float(jump), arg
 
     def record(j):
-        t = float(times[j])
-        rows["t"].append(t)
-        rows["sig"].append(dh.path.value(t))
-        rows["rate"].append(dh.path.velocity(t))
-        ws = WaveSection(grid, psi, t)
+        ws = WaveSection(grid, psi, float(times[j]))
         rows["pos"].append(position_expectations(ws))
         rows["mom"].append(momentum_expectations(ws))
         rows["norm"].append(ws.norm() / initial.norm())
@@ -600,9 +663,7 @@ def propagate_state(dh: DrivenHamiltonian, initial: WaveSection, steps: int,
     record(0)
     arg_psi = 0.0
     arg_phi = 0.0
-    for j in range(steps):
-        h_full, h_geo = (fixed if fixed is not None
-                         else generators(0.5 * (times[j] + times[j + 1])))
+    for j, (h_full, h_geo) in enumerate(gens):
         psi = _taylor_apply(h_full, psi, dt, STATE_TAYLOR_TOL)
         total, arg_psi = lifted(args_total[-1], arg_psi, psi)
         args_total.append(total)
@@ -613,13 +674,13 @@ def propagate_state(dh: DrivenHamiltonian, initial: WaveSection, steps: int,
         if (j + 1) in rec_idx:
             record(j + 1)
 
-    final = WaveSection(grid, psi, float(times[-1]),
-                        dh.path.value(times[-1]))
     sel = np.asarray(records)
+    sigma = dh.path.values(times[sel]).reshape(len(records), m)
+    final = WaveSection(grid, psi, float(times[-1]), sigma[-1].copy())
     return StateTrajectory(
-        times=np.asarray(rows["t"]),
-        sigma=np.asarray(rows["sig"]).reshape(len(records), m),
-        sigma_rate=np.asarray(rows["rate"]).reshape(len(records), m),
+        times=times[sel],
+        sigma=sigma,
+        sigma_rate=dh.path.velocities(times[sel]).reshape(len(records), m),
         positions=np.asarray(rows["pos"]).reshape(len(records), n),
         momenta=np.asarray(rows["mom"]).reshape(len(records), n),
         norms=np.asarray(rows["norm"]),
@@ -648,7 +709,8 @@ def classical_hamilton_flow(dh: DrivenHamiltonian, initial: ClassicalState,
     The vector field is the Hamiltonian vector field of H*, with exact
     symbolic partials: dq_k/dt = dH*/dp_k, dp_k/dt = -dH*/dq_k.  Each
     stage evaluates it at its clock time t with s = sigma(t) and the
-    rates v = sigma'(t) bound numerically.
+    rates v = sigma'(t) bound numerically; sigma and sigma' are read at
+    every stage time of the window at once.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -660,24 +722,30 @@ def classical_hamilton_flow(dh: DrivenHamiltonian, initial: ClassicalState,
     field = hamiltonian_vector_field(dh.star)
     components = (*field.dq, *field.dp)
 
-    def rhs(t, y):
+    dt = (t1 - t0) / steps
+    times = np.linspace(t0, t1, steps + 1)
+    # stage times t, t + dt/2 and t + dt of every step, as rows
+    stage_t = np.stack([times[:-1], times[:-1] + 0.5 * dt, times[:-1] + dt])
+    stage_sig = dh.path.values(stage_t.ravel()).reshape(3, steps, -1)
+    stage_rate = dh.path.velocities(stage_t.ravel()).reshape(3, steps, -1)
+
+    def rhs(stage, j, y):
         q, p = y[:n], y[n:]
-        sigma, rate = dh.path.value(t), dh.path.velocity(t)
+        t, sigma, rate = (stage_t[stage, j], stage_sig[stage, j],
+                          stage_rate[stage, j])
         return np.array([f.evaluate(t, sigma, q, p, rate)
                          for f in components])
 
-    dt = (t1 - t0) / steps
-    times = np.linspace(t0, t1, steps + 1)
     ys = np.empty((steps + 1, 2 * n))
     ys[0] = np.concatenate([q0, np.asarray(initial.p, float)])
     y = ys[0]
     for j in range(steps):
         t = times[j]
         try:
-            k1 = rhs(t, y)
-            k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1)
-            k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
-            k4 = rhs(t + dt, y + dt * k3)
+            k1 = rhs(0, j, y)
+            k2 = rhs(1, j, y + 0.5 * dt * k1)
+            k3 = rhs(1, j, y + 0.5 * dt * k2)
+            k4 = rhs(2, j, y + dt * k3)
         except EvaluationError as exc:
             raise ValueError(
                 f"classical flow diverged at t = {t:.6g}") from exc

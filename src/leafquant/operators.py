@@ -45,6 +45,7 @@ __all__ = [
     "OperatorSymbol",
     "derivative_matrix",
     "quantize_affine",
+    "quantize_affine_block",
     "quantize_affine_literal",
     "quantize_polynomial",
     "inner_product",
@@ -282,6 +283,33 @@ class _Stencil:
         n = len(self.indptr) - 1
         return sp.csr_array((data, self.indices, self.indptr), shape=(n, n))
 
+    def union(self, m: sp.csr_array):
+        """The union of this pattern and ``m``'s, for adding ``m`` once.
+
+        Returns a CSR array on the union, the positions of this
+        pattern's entries in its data, and ``m``'s values placed there.
+        The union keeps the column order of the sparse sum
+        stencil + ``m``, so a mat-vec with data filled on it adds its
+        terms in the same order as a mat-vec with that sum.
+        """
+        n = len(self.indptr) - 1
+
+        def keys(a):
+            return np.repeat(np.arange(n), np.diff(a.indptr)) * n + a.indices
+
+        stencil = self.csr(np.ones(len(self.indices), dtype=complex))
+        total = stencil + sp.csr_array(
+            (np.ones(m.nnz), m.indices, m.indptr), shape=(n, n))
+        union = keys(total)
+        order = np.argsort(union)
+
+        def locate(a):
+            return order[np.searchsorted(union, keys(a), sorter=order)]
+
+        values = np.zeros(total.nnz, dtype=complex)
+        np.add.at(values, locate(m), m.data)
+        return total, locate(stencil), values
+
 
 @lru_cache(maxsize=64)
 def _stencil(grid: FiberGrid) -> _Stencil:
@@ -319,33 +347,68 @@ def derivative_matrix(grid: FiberGrid, axis: int = 0) -> LinearOperator:
     return LinearOperator(grid, st.csr(data))
 
 
-def _sample(expr: Expression, binding: dict, size: int) -> np.ndarray:
-    out = expr.evaluate(binding)
-    if np.ndim(out) == 0:
-        return np.full(size, float(out))
-    return np.asarray(out, dtype=float)
+def _sample(expr: Expression, binding: dict, shape) -> np.ndarray:
+    out = np.asarray(expr.evaluate(binding), dtype=float)
+    if out.shape == shape:
+        return out
+    # a single value is cheaper to fill than to broadcast
+    return (np.full(shape, out) if out.size == 1
+            else np.broadcast_to(out, shape))
 
 
 def _bind_affine(f: PolynomialObservable, grid: FiberGrid, t, sigma, rate):
-    """(a_1..a_n, b) of an affine observable and one numeric binding.
+    """(a_1..a_n, b) of an affine observable, one numeric binding, k.
 
-    The binding holds t, s1.., v1.. and the grid coordinates q1..;
-    the coefficient trees are sampled under it as they are.
+    ``t`` holds k clock times and ``sigma``/``rate`` k rows.  The
+    binding holds t, s1.., v1.. as (k, 1) columns and the grid
+    coordinates q1.. as (1, N) rows; the coefficient trees are sampled
+    under it as they are, broadcasting to (k, N).
     """
     if f.dim != grid.dim:
         raise ValueError("observable and grid dimensions differ")
     a, b = f.linear_coefficients()
-    binding = {"t": float(t)}
-    binding.update((f"s{i + 1}", float(x)) for i, x in enumerate(sigma))
-    binding.update((f"v{i + 1}", float(x)) for i, x in enumerate(rate))
-    binding.update((f"q{k + 1}", c) for k, c in enumerate(grid.coordinates()))
+    t = np.asarray(t, dtype=float).reshape(-1, 1)
+    k = len(t)
+    sigma = np.asarray(sigma, dtype=float).reshape(k, -1)
+    rate = np.asarray(rate, dtype=float).reshape(k, -1)
+    binding = {"t": t}
+    binding.update((f"s{i + 1}", sigma[:, i:i + 1])
+                   for i in range(sigma.shape[1]))
+    binding.update((f"v{i + 1}", rate[:, i:i + 1])
+                   for i in range(rate.shape[1]))
+    binding.update((f"q{j + 1}", c.reshape(1, -1))
+                   for j, c in enumerate(grid.coordinates()))
     for e in (*a, b):
         stray = e.free_variables() - binding.keys()
         if stray:
             raise ValueError(
                 f"t/sigma/rate binding incomplete: '{sorted(stray)[0]}' "
                 f"remains free in coefficient '{e.to_source()}'")
-    return a, b, binding
+    return a, b, binding, k
+
+
+def quantize_affine_block(f: PolynomialObservable, grid: FiberGrid, t,
+                          sigma, rate=()) -> np.ndarray:
+    """CSR data of ``quantize_affine`` at k samples, one row each.
+
+    ``t`` has k entries, ``sigma`` (s1..sm) and ``rate`` (v1..vm) k
+    rows each (``rate`` may be empty).  Row r is the data array, on the
+    grid's cached stencil pattern, of the operator at (t[r], sigma[r],
+    rate[r]): the coefficient trees are sampled once over the whole
+    (k, N) block, and each drift entry is -(i/2) d_ij (a_i + a_j), so
+    every row is Hermitian to the bit.  A non-finite sample anywhere in
+    the block raises EvaluationError.
+    """
+    a, b, binding, k = _bind_affine(f, grid, t, sigma, rate)
+    st = _stencil(grid)
+    shape = (k, grid.size)
+    data = np.zeros((k, len(st.indices)), dtype=complex)
+    data[:, st.diagonal] = _sample(b, binding, shape)
+    for ax in range(grid.dim):
+        ak = _sample(a[ax], binding, shape)
+        pair = ak.take(st.rows[ax], axis=1) + ak.take(st.cols[ax], axis=1)
+        data[:, st.slots[ax]] = (-0.5j) * (st.steps[ax] * pair)
+    return data
 
 
 def quantize_affine(f: PolynomialObservable, grid: FiberGrid,
@@ -358,17 +421,11 @@ def quantize_affine(f: PolynomialObservable, grid: FiberGrid,
     coefficient that keeps a variable unbound raises ValueError.  The
     drift part is assembled in the symmetrized form, which for the
     antisymmetric difference matrix is Hermitian exactly; q^1 p_1, for
-    instance, becomes -(i/2)(Q D + D Q).
+    instance, becomes -(i/2)(Q D + D Q).  This is the one-row case of
+    ``quantize_affine_block``.
     """
-    a, b, binding = _bind_affine(f, grid, t, sigma, rate)
-    st = _stencil(grid)
-    data = np.zeros(len(st.indices), dtype=complex)
-    data[st.diagonal] = _sample(b, binding, grid.size)
-    for k in range(grid.dim):
-        ak = _sample(a[k], binding, grid.size)
-        rows, cols = st.rows[k], st.cols[k]
-        data[st.slots[k]] = (-0.5j) * (st.steps[k] * (ak[rows] + ak[cols]))
-    return LinearOperator(grid, st.csr(data))
+    data = quantize_affine_block(f, grid, [t], [sigma], [rate])
+    return LinearOperator(grid, _stencil(grid).csr(data[0]))
 
 
 def quantize_affine_literal(f: PolynomialObservable, grid: FiberGrid,
@@ -380,16 +437,19 @@ def quantize_affine_literal(f: PolynomialObservable, grid: FiberGrid,
     smooth states to second order in the spacing but is not Hermitian
     once the drift varies, which the tests exploit.
     """
-    a, b, binding = _bind_affine(f, grid, t, sigma, rate)
+    a, b, binding, _ = _bind_affine(f, grid, [t], [sigma], [rate])
     st = _stencil(grid)
+
+    def sample(e):
+        return _sample(e, binding, (1, grid.size))[0]
+
     data = np.zeros(len(st.indices), dtype=complex)
     divergence = np.zeros(grid.size)
     for k in range(grid.dim):
-        ak = _sample(a[k], binding, grid.size)
+        ak = sample(a[k])
         data[st.slots[k]] = (-1j) * (ak[st.rows[k]] * st.steps[k])
-        divergence = divergence + _sample(a[k].diff(f"q{k + 1}"), binding,
-                                          grid.size)
-    data[st.diagonal] = _sample(b, binding, grid.size) + (-0.5j) * divergence
+        divergence = divergence + sample(a[k].diff(f"q{k + 1}"))
+    data[st.diagonal] = sample(b) + (-0.5j) * divergence
     return LinearOperator(grid, st.csr(data))
 
 

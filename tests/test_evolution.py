@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, strategies as st
 
-from leafquant import evolution, runner
+from leafquant import evolution, operators, runner
 from leafquant.bundle import BundleModel, ParameterPath
 from leafquant.expressions import Const, Var, parse_expr
 from leafquant.observables import PolynomialObservable
@@ -358,7 +358,11 @@ def test_transport_product_matches_expm(n_grid, segments):
 
 def test_transport_product_keeps_hermiticity_gate(monkeypatch):
     # the one-sided assembly is not Hermitian once the drift varies in q
-    monkeypatch.setattr(evolution, "quantize_affine", quantize_affine_literal)
+    def literal_block(f, grid, t, sigma, rate=()):
+        return np.array([quantize_affine_literal(f, grid, *row).matrix.data
+                         for row in zip(t, sigma, rate)])
+
+    monkeypatch.setattr(evolution, "quantize_affine_block", literal_block)
     with pytest.raises(RuntimeError, match="hermiticity"):
         geometric_factor(nonabelian_dh(n_grid=48), segments=4)
 
@@ -473,6 +477,79 @@ def test_propagate_sigma_dependent_kinetic_matches_dense():
     dense = evolve_time_ordered(dh, steps=100, initial=ws)
     assert np.linalg.norm(traj.final_state.values
                           - dense.final_state.values) < 1e-9
+
+
+def assert_propagation_matches_dense(dh, steps):
+    ws = WaveSection.gaussian(dh.grid, width=1.0, momentum=0.3)
+    traj = propagate_state(dh, ws, steps=steps)
+    dense = evolve_time_ordered(dh, steps=steps, initial=ws)
+    assert np.linalg.norm(traj.final_state.values
+                          - dense.final_state.values) < 1e-9
+    gap = traj.phase_total[-1] - dense.phase_total_unwrapped
+    assert abs(gap) < 1e-8
+    # the geometric companion against the dense product of G alone
+    geo = evolve_time_ordered(
+        DrivenHamiltonian(dh.bundle, dh.path, P(dh.grid.dim, {}), dh.grid),
+        steps=steps, initial=ws)
+    gap = traj.phase_geometric[-1] - geo.phase_total_unwrapped
+    assert abs(gap) < 1e-8
+
+
+@given(amp=st.floats(0.05, 0.5), freq=st.floats(0.5, 2.0),
+       slope=st.floats(-0.5, 0.5))
+def test_propagate_matches_dense_on_random_drives(amp, freq, slope):
+    drive = ParameterPath.from_expressions(
+        [expr(f"{amp!r}*sin({freq!r}*t)", ["t"])], span=(0.0, 1.0))
+    with pytest.MonkeyPatch.context() as mp:
+        # blocks of 20 rows at 96 entries (the 1-D stencil), 12 at 160
+        # (its union with p^2) and 6 at 320 (the 8 x 8 stencil), so the
+        # step counts below cross block ends that no count divides
+        mp.setattr(evolution, "BLOCK_BYTES", 16 * 320 * 6)
+        # static high part: the full generator lives on the union pattern
+        ham = P(1, {(1, 1): c(0.5), (): 0.5 * (Var("q1") - Var("s1")) ** 2})
+        dh = DrivenHamiltonian(
+            BundleModel(1, 1, ((c(1.0) + slope * Var("q1"),),)), drive,
+            ham, FiberGrid((32,), (6.0,)))
+        assert_propagation_matches_dense(dh, 101)
+        # two axes with a sigma-dependent p1 p2 term, added at every step
+        ham = P(2, {(1, 1): c(0.5), (2, 2): c(0.5),
+                    (1, 2): 0.3 * Var("s1"),
+                    (): 0.5 * (Var("q1") ** 2 + Var("q2") ** 2)})
+        dh = DrivenHamiltonian(BundleModel(1, 2, ((c(1.0),), (c(slope),))),
+                               drive, ham, FiberGrid((8, 8), (4.0, 4.0)))
+        assert not dh._high_static
+        assert_propagation_matches_dense(dh, 41)
+        # a static window: one row of generator data for every step
+        ham = P(1, {(1, 1): c(0.5),
+                    (): 0.5 * freq * (Var("q1") - Var("s1")) ** 2})
+        dh = DrivenHamiltonian(
+            BundleModel(1, 1, ((c(1.0),),)),
+            ParameterPath.from_expressions([c(amp)], span=(0.0, 1.0)),
+            ham, FiberGrid((32,), (6.0,)))
+        assert evolution._is_static(dh)
+        assert_propagation_matches_dense(dh, 97)
+
+
+def test_hot_loops_make_no_per_step_quantize_affine(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return quantize_affine(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "quantize_affine", counted)
+    monkeypatch.setattr(evolution, "quantize_affine", counted)
+    ws = WaveSection.gaussian(FiberGrid((64,), (8.0,)), momentum=0.3)
+    made = []
+    for steps in (10, 100):
+        calls.clear()
+        propagate_state(oscillator_dh(n_grid=64, t1=1.0), ws, steps=steps)
+        made.append(len(calls))
+    # only the momentum-quadratic part, quantized once per window
+    assert made[0] == made[1] < 10
+    calls.clear()
+    geometric_factor(nonabelian_dh(n_grid=32), segments=64)
+    assert calls == []
 
 
 def test_heisenberg_canonical_relation():

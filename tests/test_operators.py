@@ -6,7 +6,8 @@ import scipy.linalg
 import scipy.sparse
 from hypothesis import given, strategies as st
 
-from leafquant.expressions import Const, Var, parse_expr
+from leafquant import evolution
+from leafquant.expressions import Const, EvaluationError, Var, parse_expr
 from leafquant.observables import (
     BumpCover,
     CoverageError,
@@ -28,11 +29,13 @@ from leafquant.operators import (
     momentum_expectations,
     position_expectations,
     quantize_affine,
+    quantize_affine_block,
     quantize_affine_literal,
     quantize_polynomial,
     symbol_commutator,
     symbol_difference,
     symbol_scale,
+    _stencil,
 )
 
 P = PolynomialObservable
@@ -350,6 +353,48 @@ def test_numeric_binding_matches_substitution(c, t, s, v):
         assert np.linalg.norm(m - ref) <= 1e-14 * np.linalg.norm(ref)
         with pytest.raises(ValueError, match="binding incomplete.*v1"):
             quantize_affine(f, g, t, (s,))
+
+
+@given(c=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
+       seed=st.integers(0, 2 ** 16))
+def test_block_fill_matches_per_row_quantize_affine(c, seed):
+    rng = np.random.default_rng(seed)
+    for g in (FiberGrid((32,), (4.0,)), FiberGrid((8, 8), (3.0, 2.0))):
+        f = _rate_affine(g.dim, c)
+        nnz = quantize_affine(f, g, 0.0, (0.0,), (0.0,)).matrix.nnz
+        # one row, and one more row than an evolution block holds
+        for k in (1, evolution._blocks(1, nnz)[0].stop + 1):
+            t = rng.uniform(-3.0, 3.0, k)
+            s, v = rng.uniform(-1.0, 1.0, (k, 1)), rng.uniform(-2.0, 2.0,
+                                                              (k, 1))
+            block = quantize_affine_block(f, g, t, s, v)
+            rows = [quantize_affine(f, g, t[r], s[r], v[r]).matrix.data
+                    for r in range(k)]
+            assert np.array_equal(block, np.array(rows))
+            chunks = [quantize_affine_block(f, g, t[b], s[b], v[b])
+                      for b in evolution._blocks(k, nnz)]
+            assert np.array_equal(np.concatenate(chunks), block)
+        with pytest.raises(ValueError, match="binding incomplete.*v1"):
+            quantize_affine_block(f, g, t, s)
+        # one non-finite row fails the whole block
+        bad = affine([Var("q1") / Var("t")] * g.dim, Const(0.0), dim=g.dim)
+        t[k // 2] = 0.0
+        with pytest.raises(EvaluationError):
+            quantize_affine_block(bad, g, t, s)
+
+
+def test_stencil_union_holds_affine_plus_high_part():
+    for g in (FiberGrid((16,), (4.0,)), FiberGrid((8, 8), (3.0, 2.0))):
+        f = _rate_affine(g.dim, [0.3, -0.7, 0.2, 0.5, 1.1, -0.4])
+        terms = {(1, 1): 0.5 * (1.0 + 0.2 * Var("q1"))}
+        if g.dim == 2:
+            terms[(1, 2)] = Var("q2")
+        high = quantize_polynomial(P(g.dim, terms), g).matrix
+        total, place, values = _stencil(g).union(high)
+        aff = quantize_affine(f, g, 0.4, (0.3,), (-0.8,)).matrix
+        values[place] += aff.data
+        total.data = values
+        assert np.array_equal(total.toarray(), (aff + high).toarray())
 
 
 def test_mixed_storage_arithmetic_matches_dense():
