@@ -6,29 +6,23 @@ The driven Hamiltonian is affine in the parameter rates v = sigma'(t):
 
 ``DrivenHamiltonian`` builds it once, as symbolic observables over the
 rate variables v1..vm: the geometric part G = p_k v^lam Lambda^k_lam,
-the affine slice H'_aff (frame drift plus the degree <= 1 part of H),
-their sum, and H* itself, which adds the momentum-degree >= 2 part of H.
-Everything else binds numbers into these observables:
+the frozen-parameter Hamiltonian H' (H plus the frame drift) and their
+sum H*.  Each is quantized by one ``operators.Quantizer``, built once on
+first use, and everything else binds numbers into these:
 
-- G(t) and H'(t) = H'_aff + the high part are quantized at
-  (t, sigma(t), sigma'(t)); the full generator G + H' is one affine
-  fill of G + H'_aff plus the high part.
-- A transport segment quantizes G at its midpoint with the rates bound
-  to the parameter increment, v = delta sigma.  Only the traced image
+- G(t) and H'(t) are fills at (t, sigma(t), sigma'(t)); the full
+  generator G + H' is one fill of H*.
+- A transport segment fills G at its midpoint with the rates bound to
+  the parameter increment, v = delta sigma.  Only the traced image
   curve enters, so invariance under monotone reparametrization is
   structural; a commuting family telescopes to v = sigma(t1) - sigma(t0).
 - The classical flow is the Hamiltonian vector field of H*.
 
-The hot loops sample these numbers for a whole window at once: the
-state propagator reads sigma and sigma' at every step midpoint, and the
-transport product every segment's midpoint and increment, in one path
-call each.  ``quantize_affine_block`` then fills the data of G + H'_aff
-and of G (or of the segment generators) for a block of rows, at most
-``BLOCK_BYTES`` of complex entries, and each step or segment only
-points one reused CSR array at its row.  A parameter-free high part is
-added once per block, on the union of the stencil pattern and its own;
-a parameter-dependent one is quantized and added at every step.  The
-classical flow reads the path at all its RK4 stage times at once.
+Every loop over times takes its generators from ``_rows``: the path is
+read at all its times at once, the quantizer fills blocks of at most
+``BLOCK_BYTES`` of complex entries, and each step, segment or sample
+points one reused CSR array at its row.  The classical flow reads the
+path at all its RK4 stage times at once.
 
 U is the midpoint-ordered product of exact Hermitian-eigendecomposition
 exponentials, so unitarity holds to rounding at every step count.
@@ -50,6 +44,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -70,11 +65,9 @@ from .operators import (
     inner_product,
     momentum_expectations,
     position_expectations,
-    quantize_affine,
-    quantize_affine_block,
-    quantize_polynomial,
+    Quantizer,
+    quantizer,
     _relative_defect,
-    _stencil,
 )
 
 __all__ = [
@@ -118,9 +111,11 @@ BLOCK_BYTES = 1 << 20
 class DrivenHamiltonian:
     """Bundle + path + polynomial Hamiltonian + grid, ready to propagate.
 
-    Construction builds the driven Hamiltonian's observables once, over
-    the rate variables v1..vm: ``geometric`` (G), ``affine`` (H'_aff),
-    ``driven_affine`` (G + H'_aff) and ``star`` (H*).
+    Construction builds the observables ``geometric`` (G), ``dynamic``
+    (H' = H plus the frame drift) and ``star`` (H* = G + H') once, over
+    the rate variables v1..vm; ``geometric_quantizer``,
+    ``dynamic_quantizer`` and ``full_quantizer`` (of H*) are built on
+    first use.
     """
 
     bundle: BundleModel
@@ -146,23 +141,16 @@ class DrivenHamiltonian:
                 f"Hamiltonian references '{sorted(stray)[0]}' outside the "
                 f"scenario variables {sorted(allowed)}")
         n, m = self.grid.dim, self.bundle.n_parameters
-        terms = self.hamiltonian.terms
-        affine = {i: c for i, c in terms.items() if len(i) <= 1}
+        terms = dict(self.hamiltonian.terms)
         for k, d in enumerate(self.bundle.time_drift):
             if d != _ZERO:
-                affine[(k + 1,)] = affine.get((k + 1,), _ZERO) + d
+                terms[(k + 1,)] = terms.get((k + 1,), _ZERO) + d
         rates = [Var(f"v{lam + 1}") for lam in range(m)]
         self.geometric = PolynomialObservable(n, {
             (k + 1,): sum((v * c for v, c in zip(rates, row)), _ZERO)
             for k, row in enumerate(self.bundle.sigma_coupling)})
-        self.affine = PolynomialObservable(n, affine)
-        self.driven_affine = self.geometric + self.affine
-        self._high_part = PolynomialObservable(
-            n, {i: c for i, c in terms.items() if len(i) >= 2})
-        self.star = self.driven_affine + self._high_part
-        qvars = {f"q{k}" for k in range(1, n + 1)}
-        self._high_static = self._high_part.free_variables() <= qvars
-        self._high_matrix: sp.csr_array | None = None
+        self.dynamic = PolynomialObservable(n, terms)
+        self.star = self.geometric + self.dynamic
         self._coupling_free = frozenset().union(
             *(c.free_variables() for row in self.bundle.sigma_coupling
               for c in row)) if self.bundle.sigma_coupling else frozenset()
@@ -173,47 +161,34 @@ class DrivenHamiltonian:
     def span(self) -> tuple[float, float]:
         return self.path.span
 
-    def high_matrix(self, t: float, sigma) -> sp.csr_array | None:
-        """Momentum-degree >= 2 part, cached when parameter-independent."""
-        if not self._high_part.terms:
-            return None
-        if self._high_static:
-            if self._high_matrix is None:
-                zeros = np.zeros(self.bundle.n_parameters)
-                self._high_matrix = quantize_polynomial(
-                    self._high_part, self.grid, 0.0, zeros,
-                    cover=self.cover, ordering=self.ordering).matrix
-            return self._high_matrix
-        return quantize_polynomial(self._high_part, self.grid, t, sigma,
-                                   cover=self.cover,
-                                   ordering=self.ordering).matrix
+    @cached_property
+    def geometric_quantizer(self) -> Quantizer:
+        return quantizer(self.geometric, self.grid)
 
+    @cached_property
+    def dynamic_quantizer(self) -> Quantizer:
+        return quantizer(self.dynamic, self.grid, self.cover, self.ordering)
 
-def _with_high(dh: DrivenHamiltonian, f: PolynomialObservable, t: float,
-               sigma, rate=()) -> LinearOperator:
-    """quantize_affine of ``f`` plus the momentum-degree >= 2 part of H."""
-    op = quantize_affine(f, dh.grid, t, sigma, rate)
-    high = dh.high_matrix(t, sigma)
-    if high is not None:
-        op = LinearOperator(dh.grid, op.matrix + high)
-    return op
+    @cached_property
+    def full_quantizer(self) -> Quantizer:
+        return quantizer(self.star, self.grid, self.cover, self.ordering)
 
 
 def geometric_generator(dh: DrivenHamiltonian, t: float) -> LinearOperator:
     """Hermitian generator G of the connection drift at clock time t."""
-    return quantize_affine(dh.geometric, dh.grid, t, dh.path.value(t),
-                           dh.path.velocity(t))
+    return dh.geometric_quantizer.operator(t, dh.path.value(t),
+                                           dh.path.velocity(t))
 
 
 def dynamic_operator(dh: DrivenHamiltonian, t: float) -> LinearOperator:
     """The frozen-parameter Hamiltonian H'(t), Hermitian."""
-    return _with_high(dh, dh.affine, t, dh.path.value(t))
+    return dh.dynamic_quantizer.operator(t, dh.path.value(t))
 
 
 def full_generator(dh: DrivenHamiltonian, t: float) -> LinearOperator:
-    """G(t) + H'(t), quantized as one affine fill plus the high part."""
-    return _with_high(dh, dh.driven_affine, t, dh.path.value(t),
-                      dh.path.velocity(t))
+    """G(t) + H'(t): one fill of the quantized H* at (t, sigma, sigma')."""
+    return dh.full_quantizer.operator(t, dh.path.value(t),
+                                      dh.path.velocity(t))
 
 
 # -- results -------------------------------------------------------------
@@ -311,9 +286,9 @@ def _is_static(dh: DrivenHamiltonian) -> bool:
     return dh.path.is_constant()
 
 
-def _gated_dense(h: LinearOperator, tol: float = HERMITICITY_STEP_TOL):
+def _gated_dense(h: sp.csr_array, tol: float = HERMITICITY_STEP_TOL):
     """h as an ndarray and its relative hermiticity defect (at most tol)."""
-    m = h.dense()
+    m = h.toarray()
     defect = _relative_defect(m)
     if defect > tol:
         raise RuntimeError(
@@ -321,7 +296,7 @@ def _gated_dense(h: LinearOperator, tol: float = HERMITICITY_STEP_TOL):
     return m, defect
 
 
-def _step_unitary(h: LinearOperator, dt: float):
+def _step_unitary(h: sp.csr_array, dt: float):
     """exp(-i dt h) (dense) and the relative hermiticity defect of h."""
     m, defect = _gated_dense(h)
     w, v = np.linalg.eigh(m)
@@ -356,34 +331,27 @@ def evolve_time_ordered(dh: DrivenHamiltonian, steps: int,
     overlaps = []
     snapshots: list[WaveSection] | None = [] if emit_trajectory else None
 
+    # a static window is one step exponential, taken to the power
     static = _is_static(dh)
-    max_defect = 0.0
+    factors = (_step_unitary(h, dt) for h in _path_rows(
+        dh.full_quantizer, dh, np.array([t0, t1]) if static else times))
     if static:
-        u_step, max_defect = _step_unitary(
-            full_generator(dh, 0.5 * (t0 + t1)), dt)
-        u = np.linalg.matrix_power(u_step, steps)
-        if psi is not None:
-            for j in range(steps):
-                if snapshots is not None:
-                    snapshots.append(WaveSection(dh.grid, psi.copy(),
-                                                 float(times[j]),
-                                                 dh.path.value(times[j])))
-                psi = u_step @ psi
-                overlaps.append(np.vdot(initial.values, psi))
-    else:
-        u = np.eye(size, dtype=complex)
-        for j in range(steps):
-            tm = 0.5 * (times[j] + times[j + 1])
-            u_step, step_defect = _step_unitary(full_generator(dh, tm), dt)
-            max_defect = max(max_defect, step_defect)
+        factors = itertools.repeat(next(factors), steps)
+    u = np.eye(size, dtype=complex)
+    max_defect = 0.0
+    for j, (u_step, step_defect) in enumerate(factors):
+        max_defect = max(max_defect, step_defect)
+        if not static:
             u = u_step @ u
-            if psi is not None:
-                if snapshots is not None:
-                    snapshots.append(WaveSection(dh.grid, psi.copy(),
-                                                 float(times[j]),
-                                                 dh.path.value(times[j])))
-                psi = u_step @ psi
-                overlaps.append(np.vdot(initial.values, psi))
+        if psi is not None:
+            if snapshots is not None:
+                snapshots.append(WaveSection(dh.grid, psi.copy(),
+                                             float(times[j]),
+                                             dh.path.value(times[j])))
+            psi = u_step @ psi
+            overlaps.append(np.vdot(initial.values, psi))
+    if static:
+        u = np.linalg.matrix_power(u_step, steps)
 
     defect = float(np.linalg.norm(u @ u.conj().T - np.eye(size)))
     result = EvolutionResult(
@@ -432,8 +400,8 @@ def _geometric_product(dh: DrivenHamiltonian, times: np.ndarray,
                for c in row))
     if abelian:
         # One commuting family: the increments telescope exactly.
-        op = quantize_affine(dh.geometric, dh.grid, float(times[0]), sig[0],
-                             sig[-1] - sig[0])
+        op = dh.geometric_quantizer.operator(float(times[0]), sig[0],
+                                             sig[-1] - sig[0])
         u = expm_hermitian(op, prefactor=-1j)
         phase = None
         if initial is not None:
@@ -443,29 +411,21 @@ def _geometric_product(dh: DrivenHamiltonian, times: np.ndarray,
     # each small increment acts on the running product, so no segment
     # exponential is formed; the tracked state is read off the product.
     # Segment j binds the rates to its increment at its midpoint.
-    tmid = 0.5 * (times[1:] + times[:-1])
-    smid = 0.5 * (sig[1:] + sig[:-1])
-    delta = sig[1:] - sig[:-1]
-    st = _stencil(dh.grid)
-    h = st.csr(np.zeros(len(st.indices), dtype=complex))
     u = np.eye(dh.grid.size, dtype=complex)
     prev = initial
     phase = 0.0
-    for rows in _blocks(len(tmid), len(st.indices)):
-        block = quantize_affine_block(dh.geometric, dh.grid, tmid[rows],
-                                      smid[rows], delta[rows])
-        for row in block:
-            h.data = row
-            _gated_dense(LinearOperator(dh.grid, h))
-            norm1 = np.bincount(h.indices, weights=np.abs(h.data),
-                                minlength=h.shape[1]).max()
-            substeps = max(1, math.ceil(norm1 / TRANSPORT_SUBSTEP_NORM))
-            for _ in range(substeps):
-                u = _taylor_apply(h, u, 1.0 / substeps, TRANSPORT_TAYLOR_TOL)
-            if initial is not None:
-                psi = u @ initial
-                phase += float(np.angle(np.vdot(prev, psi)))
-                prev = psi
+    for h in _rows(dh.geometric_quantizer, 0.5 * (times[1:] + times[:-1]),
+                   0.5 * (sig[1:] + sig[:-1]), sig[1:] - sig[:-1]):
+        _gated_dense(h)
+        norm1 = np.bincount(h.indices, weights=np.abs(h.data),
+                            minlength=h.shape[1]).max()
+        substeps = max(1, math.ceil(norm1 / TRANSPORT_SUBSTEP_NORM))
+        for _ in range(substeps):
+            u = _taylor_apply(h, u, 1.0 / substeps, TRANSPORT_TAYLOR_TOL)
+        if initial is not None:
+            psi = u @ initial
+            phase += float(np.angle(np.vdot(prev, psi)))
+            prev = psi
     return u, (phase if initial is not None else None)
 
 
@@ -508,9 +468,11 @@ def split_evolution(dh: DrivenHamiltonian, full: EvolutionResult,
     u_geo = geometric_factor(dh, t_end=t1, t_start=t0, segments=steps)
     u_dyn = _dynamic_only(dh, t0, t1, steps)
     comm_max = 0.0
-    for t in np.linspace(t0, t1, samples):
-        g = geometric_generator(dh, t)
-        h = dynamic_operator(dh, t)
+    ts = np.linspace(t0, t1, samples)
+    sig, rate = dh.path.values(ts), dh.path.velocities(ts)
+    for g, h in zip(_rows(dh.geometric_quantizer, ts, sig, rate),
+                    _rows(dh.dynamic_quantizer, ts, sig, rate)):
+        g, h = LinearOperator(dh.grid, g), LinearOperator(dh.grid, h)
         ng, nh = g.frobenius(), h.frobenius()
         if ng == 0.0 or nh == 0.0:
             continue
@@ -529,9 +491,8 @@ def _dynamic_only(dh, t0, t1, steps) -> LinearOperator:
     times = np.linspace(t0, t1, steps + 1)
     dt = (t1 - t0) / steps
     u = np.eye(dh.grid.size, dtype=complex)
-    for j in range(steps):
-        tm = 0.5 * (times[j] + times[j + 1])
-        u = _step_unitary(dynamic_operator(dh, tm), dt)[0] @ u
+    for h in _path_rows(dh.dynamic_quantizer, dh, times):
+        u = _step_unitary(h, dt)[0] @ u
     return LinearOperator(dh.grid, u)
 
 
@@ -545,41 +506,21 @@ def _blocks(count: int, nnz: int) -> list[slice]:
     return [slice(lo, lo + width) for lo in range(0, count, width)]
 
 
-def _state_generators(dh: DrivenHamiltonian, mids: np.ndarray,
-                      with_geometric: bool):
-    """Yield (G + H', G) at each midpoint; G is None without geometry.
+def _rows(q: Quantizer, t: np.ndarray, sigma: np.ndarray, rate: np.ndarray):
+    """Yield ``q``'s operator at each row of (t, sigma, rate), filled a
+    block at a time (``_blocks``) and valid until the next is yielded."""
+    h = q.csr(np.zeros(q.nnz, dtype=complex))
+    for rows in _blocks(len(t), q.nnz):
+        for row in q.block(t[rows], sigma[rows], rate[rows]):
+            h.data = row
+            yield h
 
-    sigma and sigma' are read at all midpoints at once, and the affine
-    data of G + H'_aff and G is filled a block of rows at a time into
-    one reused CSR array per kind, so a yielded pair is valid until the
-    next.  A static high part lives on the union of the stencil pattern
-    and its own, and its values are added once per block; a
-    parameter-dependent one is quantized and added at every step.
-    """
-    grid = dh.grid
-    st = _stencil(grid)
-    sig, rate = dh.path.values(mids), dh.path.velocities(mids)
-    high = dh.high_matrix(mids[0], sig[0]) if dh._high_static else None
-    full = st.csr(np.zeros(len(st.indices), dtype=complex))
-    geo = full.copy() if with_geometric else None
-    if high is not None:
-        full, place, high_row = st.union(high)
-    for rows in _blocks(len(mids), full.nnz):
-        t, s, v = mids[rows], sig[rows], rate[rows]
-        block = quantize_affine_block(dh.driven_affine, grid, t, s, v)
-        if high is not None:
-            block, affine = np.tile(high_row, (len(block), 1)), block
-            block[:, place] += affine
-        geo_block = (quantize_affine_block(dh.geometric, grid, t, s, v)
-                     if geo is not None else None)
-        for i, row in enumerate(block):
-            full.data = row
-            h_full = full
-            if not dh._high_static:
-                h_full = full + dh.high_matrix(t[i], s[i])
-            if geo is not None:
-                geo.data = geo_block[i]
-            yield h_full, geo
+
+def _path_rows(q: Quantizer, dh: DrivenHamiltonian, times: np.ndarray):
+    """``_rows`` at the midpoints of ``times``, sigma and sigma' read
+    there in one path call each."""
+    mids = 0.5 * (times[:-1] + times[1:])
+    return _rows(q, mids, dh.path.values(mids), dh.path.velocities(mids))
 
 
 def _taylor_apply(h: sp.csr_array, x: np.ndarray, dt: float, tol: float,
@@ -613,8 +554,8 @@ def propagate_state(dh: DrivenHamiltonian, initial: WaveSection, steps: int,
     Each step takes the geometric generator G(t_mid) and the full
     generator G + H'(t_mid), with the entries the dense pass assembles,
     and applies exp(-i dt H) by an adaptive Taylor series of
-    matrix-vector products.  The generators are sampled in blocks of
-    steps (``_state_generators``); a static window is one row.  A
+    matrix-vector products.  The generators are filled in blocks of
+    steps (``_rows``); a static window is one row.  A
     companion state carrying only G is propagated alongside
     (``with_geometric``) so the per-time geometric phase column comes
     out unwrapped.
@@ -632,12 +573,14 @@ def propagate_state(dh: DrivenHamiltonian, initial: WaveSection, steps: int,
     psi = psi0.copy()
     phi = psi0.copy() if with_geometric else None
 
-    if _is_static(dh):
-        gens = itertools.repeat(next(_state_generators(
-            dh, np.array([0.5 * (t0 + t1)]), with_geometric)), steps)
-    else:
-        gens = _state_generators(dh, 0.5 * (times[:-1] + times[1:]),
-                                 with_geometric)
+    # a static window is one row of generator data for every step
+    static = _is_static(dh)
+    window = np.array([t0, t1]) if static else times
+    gens = zip(_path_rows(dh.full_quantizer, dh, window),
+               (_path_rows(dh.geometric_quantizer, dh, window)
+                if with_geometric else itertools.repeat(None)))
+    if static:
+        gens = itertools.repeat(next(gens), steps)
 
     records = list(range(0, steps + 1, record_every))
     if records[-1] != steps:

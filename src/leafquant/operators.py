@@ -8,22 +8,24 @@ the symmetrized form
 
     -(i/2) sum_k (A_k D_k + D_k A_k) + B,
 
-so the matrices are Hermitian to the bit, not just to rounding.  Every
-such generator is a banded stencil, stored as a CSR array over one
-sparsity pattern per grid (the diagonal plus the neighbours along each
-axis); an assembly only fills its values.  Higher momentum polynomials
-go through the affine factorization and ordered sparse products of the
-factor operators.  Exponentials and their products are dense.  A small
-operator-symbol layer mirrors first-order operators symbolically so the
-commutator algebra can be checked without any grid.
+so the matrices are Hermitian to the bit, not just to rounding.  In the
+affine factorization of a higher polynomial only the first factor of
+each product has a coefficient that is not a function of q, so the
+product is a fixed linear map of its samples.  ``quantizer`` builds one
+CSR pattern per observable (the banded stencil for an affine one) and
+that map; an assembly only fills values.  Exponentials and their
+products are dense.  A small operator-symbol layer mirrors first-order
+operators symbolically so the commutator algebra can be checked
+without any grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import permutations
+from operator import matmul
 from typing import Sequence
 
 import numpy as np
@@ -44,8 +46,9 @@ __all__ = [
     "LinearOperator",
     "OperatorSymbol",
     "derivative_matrix",
+    "Quantizer",
+    "quantizer",
     "quantize_affine",
-    "quantize_affine_block",
     "quantize_affine_literal",
     "quantize_polynomial",
     "inner_product",
@@ -283,33 +286,6 @@ class _Stencil:
         n = len(self.indptr) - 1
         return sp.csr_array((data, self.indices, self.indptr), shape=(n, n))
 
-    def union(self, m: sp.csr_array):
-        """The union of this pattern and ``m``'s, for adding ``m`` once.
-
-        Returns a CSR array on the union, the positions of this
-        pattern's entries in its data, and ``m``'s values placed there.
-        The union keeps the column order of the sparse sum
-        stencil + ``m``, so a mat-vec with data filled on it adds its
-        terms in the same order as a mat-vec with that sum.
-        """
-        n = len(self.indptr) - 1
-
-        def keys(a):
-            return np.repeat(np.arange(n), np.diff(a.indptr)) * n + a.indices
-
-        stencil = self.csr(np.ones(len(self.indices), dtype=complex))
-        total = stencil + sp.csr_array(
-            (np.ones(m.nnz), m.indices, m.indptr), shape=(n, n))
-        union = keys(total)
-        order = np.argsort(union)
-
-        def locate(a):
-            return order[np.searchsorted(union, keys(a), sorter=order)]
-
-        values = np.zeros(total.nnz, dtype=complex)
-        np.add.at(values, locate(m), m.data)
-        return total, locate(stencil), values
-
 
 @lru_cache(maxsize=64)
 def _stencil(grid: FiberGrid) -> _Stencil:
@@ -347,8 +323,11 @@ def derivative_matrix(grid: FiberGrid, axis: int = 0) -> LinearOperator:
     return LinearOperator(grid, st.csr(data))
 
 
-def _sample(expr: Expression, binding: dict, shape) -> np.ndarray:
+def _sample(expr: Expression, binding: dict, size: int) -> np.ndarray:
+    """``expr`` under a block binding as rows of ``size`` values: one row
+    when it is the same for every row of the block, else one per row."""
     out = np.asarray(expr.evaluate(binding), dtype=float)
+    shape = (out.shape[0] if out.ndim == 2 else 1, size)
     if out.shape == shape:
         return out
     # a single value is cheaper to fill than to broadcast
@@ -356,59 +335,173 @@ def _sample(expr: Expression, binding: dict, shape) -> np.ndarray:
             else np.broadcast_to(out, shape))
 
 
-def _bind_affine(f: PolynomialObservable, grid: FiberGrid, t, sigma, rate):
-    """(a_1..a_n, b) of an affine observable, one numeric binding, k.
-
-    ``t`` holds k clock times and ``sigma``/``rate`` k rows.  The
-    binding holds t, s1.., v1.. as (k, 1) columns and the grid
-    coordinates q1.. as (1, N) rows; the coefficient trees are sampled
-    under it as they are, broadcasting to (k, N).
-    """
-    if f.dim != grid.dim:
-        raise ValueError("observable and grid dimensions differ")
-    a, b = f.linear_coefficients()
+def _binding(grid: FiberGrid, t, sigma, rate, trees) -> tuple[dict, int]:
+    """k rows of (t, sigma, rate) bound as (k, 1) columns t, s1.., v1..
+    and the grid coordinates q1.. as (1, N) rows, and k.  A tree left
+    with an unbound variable raises ValueError."""
     t = np.asarray(t, dtype=float).reshape(-1, 1)
     k = len(t)
-    sigma = np.asarray(sigma, dtype=float).reshape(k, -1)
-    rate = np.asarray(rate, dtype=float).reshape(k, -1)
     binding = {"t": t}
-    binding.update((f"s{i + 1}", sigma[:, i:i + 1])
-                   for i in range(sigma.shape[1]))
-    binding.update((f"v{i + 1}", rate[:, i:i + 1])
-                   for i in range(rate.shape[1]))
+    for name, rows in (("s", sigma), ("v", rate)):
+        rows = np.asarray(rows, dtype=float).reshape(k, -1)
+        binding.update((f"{name}{i + 1}", rows[:, i:i + 1])
+                       for i in range(rows.shape[1]))
     binding.update((f"q{j + 1}", c.reshape(1, -1))
                    for j, c in enumerate(grid.coordinates()))
-    for e in (*a, b):
+    for e in trees:
         stray = e.free_variables() - binding.keys()
         if stray:
             raise ValueError(
                 f"t/sigma/rate binding incomplete: '{sorted(stray)[0]}' "
                 f"remains free in coefficient '{e.to_source()}'")
-    return a, b, binding, k
+    return binding, k
 
 
-def quantize_affine_block(f: PolynomialObservable, grid: FiberGrid, t,
-                          sigma, rate=()) -> np.ndarray:
-    """CSR data of ``quantize_affine`` at k samples, one row each.
+def _difference_sums(st: _Stencil, ax: int, a: np.ndarray) -> np.ndarray:
+    """d_ij (a_i + a_j) at every entry of D_ax, for k rows of samples a."""
+    return st.steps[ax] * (a.take(st.rows[ax], axis=1)
+                           + a.take(st.cols[ax], axis=1))
 
-    ``t`` has k entries, ``sigma`` (s1..sm) and ``rate`` (v1..vm) k
-    rows each (``rate`` may be empty).  Row r is the data array, on the
-    grid's cached stencil pattern, of the operator at (t[r], sigma[r],
-    rate[r]): the coefficient trees are sampled once over the whole
-    (k, N) block, and each drift entry is -(i/2) d_ij (a_i + a_j), so
-    every row is Hermitian to the bit.  A non-finite sample anywhere in
-    the block raises EvaluationError.
+
+@dataclass(frozen=True, eq=False)
+class Quantizer:
+    """The operator of one observable as a fill of one fixed CSR pattern.
+
+    ``drift`` (a_1..a_n) and ``potential`` (b), the trees of the affine
+    slice, fill the stencil entries at ``slots`` and ``diagonal``.  Per
+    product of the affine factorization with first factor c p_k,
+    ``high`` holds (k, c, weights): the weights map that factor's
+    entries -(1/2) d_ij (c_i + c_j) to the product's data.
     """
-    a, b, binding, k = _bind_affine(f, grid, t, sigma, rate)
-    st = _stencil(grid)
-    shape = (k, grid.size)
-    data = np.zeros((k, len(st.indices)), dtype=complex)
-    data[:, st.diagonal] = _sample(b, binding, shape)
-    for ax in range(grid.dim):
-        ak = _sample(a[ax], binding, shape)
-        pair = ak.take(st.rows[ax], axis=1) + ak.take(st.cols[ax], axis=1)
-        data[:, st.slots[ax]] = (-0.5j) * (st.steps[ax] * pair)
-    return data
+
+    grid: FiberGrid
+    indptr: np.ndarray
+    indices: np.ndarray
+    drift: tuple[Expression, ...]
+    potential: Expression
+    diagonal: np.ndarray
+    slots: tuple[np.ndarray, ...]
+    high: tuple[tuple[int, Expression, sp.csr_array], ...] = ()
+
+    @property
+    def nnz(self) -> int:
+        return len(self.indices)
+
+    def csr(self, data: np.ndarray) -> sp.csr_array:
+        return sp.csr_array((data, self.indices, self.indptr),
+                            shape=(self.grid.size,) * 2)
+
+    def block(self, t, sigma, rate=()) -> np.ndarray:
+        """C-contiguous (k, nnz) CSR data of the operator at k rows.
+
+        ``t`` has k entries, ``sigma`` (s1..sm) and ``rate`` (v1..vm,
+        may be empty) k rows each.  Every tree is sampled once over the
+        (k, N) block; a non-finite sample raises EvaluationError.
+        """
+        trees = (*self.drift, self.potential, *(c for _, c, _ in self.high))
+        binding, k = _binding(self.grid, t, sigma, rate, trees)
+        st, n = _stencil(self.grid), self.grid.size
+        data = np.zeros((k, self.nnz), dtype=complex)
+        data[:, self.diagonal] = _sample(self.potential, binding, n)
+        for ax, a in enumerate(self.drift):
+            data[:, self.slots[ax]] = (-0.5j) * _difference_sums(
+                st, ax, _sample(a, binding, n))
+        if self.high:
+            # a coefficient equal in every row is multiplied out once;
+            # adding in place keeps the rows contiguous for mat-vecs
+            data += reduce(np.add, ((-0.5 * _difference_sums(
+                st, ax, _sample(c, binding, n))) @ weights
+                for ax, c, weights in self.high))
+        return data
+
+    def operator(self, t: float = 0.0, sigma: Sequence[float] = (),
+                 rate: Sequence[float] = ()) -> LinearOperator:
+        """The operator at one (t, sigma, rate): a one-row block."""
+        return LinearOperator(self.grid,
+                              self.csr(self.block([t], [sigma], [rate])[0]))
+
+
+def _orders(d: int, ordering: str) -> list[tuple[int, ...]]:
+    """Factor orders of d factors; the symmetric fold adds the reversals."""
+    if ordering != "symmetric":
+        return [tuple(range(d))[::1 if ordering == "left" else -1]]
+    return [o for o in permutations(range(d)) if o[0] < o[-1]]
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray):
+    """Owner and position of each element of [starts[r], + counts[r])."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    offset = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts,
+                                               counts)
+    return owner, starts[owner] + offset
+
+
+def _joint(left, right, x: np.ndarray, b: np.ndarray):
+    """(e, i, j, left[i, x[e]] right[b[e], j]) over every stored pair."""
+    left, right = sp.csc_array(left), sp.csr_array(right)
+    e, li = _ranges(left.indptr[x], np.diff(left.indptr)[x])
+    p, ri = _ranges(right.indptr[b[e]], np.diff(right.indptr)[b[e]])
+    return (e[p], left.indices[li[p]], right.indices[ri],
+            left.data[li[p]] * right.data[ri])
+
+
+def quantizer(f: PolynomialObservable, grid: FiberGrid,
+              cover: BumpCover | None = None,
+              ordering: str = "symmetric") -> Quantizer:
+    """Build the ``Quantizer`` of a momentum polynomial once.
+
+    A product of the affine factorization (``decompose_polynomial``) is
+    L F R, F = -(i/2)(C D_k + D_k C) its first factor with C = diag(c)
+    and L, R fixed products of its q-only factors, summed over the
+    factor orders of ``ordering``: ``symmetric`` averages all of them,
+    folding the adjoint into the weights (Hermitian to the bit), and
+    ``left``/``right`` keep one-sided products, retained to expose the
+    ordering ambiguity.  An affine observable keeps the stencil pattern.
+    """
+    if ordering not in ORDERINGS:
+        raise ValueError(f"ordering must be one of {ORDERINGS}")
+    if f.dim != grid.dim:
+        raise ValueError("observable and grid dimensions differ")
+    a, b = f.up_to_degree(1).linear_coefficients()
+    n, st = grid.size, _stencil(grid)
+    if f.degree < 2:
+        return Quantizer(grid, st.indptr, st.indices, tuple(a), b,
+                         st.diagonal, st.slots)
+    if cover is not None:
+        cover.check_covers(grid.points())
+    eye = sp.identity(n, dtype=complex, format="csr")
+    products = []
+    for group in decompose_polynomial(f, cover).factors:
+        if len(group) == 1:
+            continue
+        ((axis,), c), = group[0].terms.items()
+        mats = [None] + [quantizer(h, grid).operator().matrix
+                         for h in group[1:]]
+        orders = _orders(len(group), ordering)
+        # entry e = (x, b) of F enters (L F R)_ij as i L_ix R_bj
+        e, x, y, v = (np.concatenate(z) for z in zip(*(_joint(
+            reduce(matmul, [mats[i] for i in o[:o.index(0)]], eye),
+            reduce(matmul, [mats[i] for i in o[o.index(0) + 1:]], eye),
+            st.rows[axis - 1], st.cols[axis - 1]) for o in orders)))
+        products.append((axis - 1, c, e, x * n + y, (1j / len(orders)) * v))
+    keys = np.concatenate([key for _, _, _, key, _ in products])
+    stencil = np.repeat(np.arange(n), np.diff(st.indptr)) * n + st.indices
+    pattern = np.unique(np.concatenate(
+        (stencil, keys, keys % n * n + keys // n)))
+    mirror = np.searchsorted(pattern, pattern % n * n + pattern // n)
+    high = []
+    for ax, c, e, key, v in products:
+        weights = sp.csr_array((v, (e, np.searchsorted(pattern, key))),
+                               shape=(2 * n, len(pattern)))
+        if ordering == "symmetric":
+            # every fill is then Hermitian to the bit
+            weights = (weights + weights[:, mirror].conj()) / 2
+        high.append((ax, c, weights))
+    place = np.searchsorted(pattern, stencil)
+    indptr = np.searchsorted(pattern, np.arange(n + 1) * n).astype(np.int32)
+    return Quantizer(grid, indptr, (pattern % n).astype(np.int32), tuple(a),
+                     b, place[st.diagonal], tuple(place[s] for s in st.slots),
+                     tuple(high))
 
 
 def quantize_affine(f: PolynomialObservable, grid: FiberGrid,
@@ -416,16 +509,15 @@ def quantize_affine(f: PolynomialObservable, grid: FiberGrid,
                     rate: Sequence[float] = ()) -> LinearOperator:
     """Hermitian operator of a momentum-affine observable.
 
-    The coefficients are sampled at clock time ``t``, parameters
-    ``sigma`` (s1..sm) and parameter rates ``rate`` (v1..vm); a
-    coefficient that keeps a variable unbound raises ValueError.  The
-    drift part is assembled in the symmetrized form, which for the
-    antisymmetric difference matrix is Hermitian exactly; q^1 p_1, for
-    instance, becomes -(i/2)(Q D + D Q).  This is the one-row case of
-    ``quantize_affine_block``.
+    A one-row fill of the observable's ``quantizer`` at clock time
+    ``t``, parameters ``sigma`` (s1..sm) and rates ``rate`` (v1..vm).
+    The drift part is symmetrized, which for the antisymmetric
+    difference matrix is Hermitian exactly: q^1 p_1, for instance,
+    becomes -(i/2)(Q D + D Q).
     """
-    data = quantize_affine_block(f, grid, [t], [sigma], [rate])
-    return LinearOperator(grid, _stencil(grid).csr(data[0]))
+    if not f.is_affine():
+        raise ValueError("observable is not affine in the momenta")
+    return quantizer(f, grid).operator(t, sigma, rate)
 
 
 def quantize_affine_literal(f: PolynomialObservable, grid: FiberGrid,
@@ -437,11 +529,14 @@ def quantize_affine_literal(f: PolynomialObservable, grid: FiberGrid,
     smooth states to second order in the spacing but is not Hermitian
     once the drift varies, which the tests exploit.
     """
-    a, b, binding, _ = _bind_affine(f, grid, [t], [sigma], [rate])
+    if f.dim != grid.dim:
+        raise ValueError("observable and grid dimensions differ")
+    a, b = f.linear_coefficients()
+    binding, _ = _binding(grid, [t], [sigma], [rate], (*a, b))
     st = _stencil(grid)
 
     def sample(e):
-        return _sample(e, binding, (1, grid.size))[0]
+        return _sample(e, binding, grid.size)[0]
 
     data = np.zeros(len(st.indices), dtype=complex)
     divergence = np.zeros(grid.size)
@@ -457,48 +552,9 @@ def quantize_polynomial(f: PolynomialObservable, grid: FiberGrid,
                         t: float = 0.0, sigma: Sequence[float] = (),
                         cover: BumpCover | None = None,
                         ordering: str = "symmetric") -> LinearOperator:
-    """Quantize a momentum polynomial through its affine factorization.
-
-    ``ordering`` fixes the operator order inside each factor group:
-    ``symmetric`` averages over all factor permutations (Hermitian by
-    construction), ``left``/``right`` keep one-sided products, retained
-    to expose the ordering ambiguity.
-    """
-    if ordering not in ORDERINGS:
-        raise ValueError(f"ordering must be one of {ORDERINGS}")
-    if f.dim != grid.dim:
-        raise ValueError("observable and grid dimensions differ")
-    if f.degree >= 2 and cover is not None:
-        cover.check_covers(grid.points())
-    fact = decompose_polynomial(f, cover)
-    total = sp.csr_array((grid.size, grid.size), dtype=complex)
-    for group in fact.factors:
-        mats = [quantize_affine(g, grid, t, sigma).matrix for g in group]
-        total = total + _ordered_product(mats, ordering)
-    return LinearOperator(grid, total)
-
-
-def _ordered_product(mats: list[sp.csr_array], ordering: str) -> sp.csr_array:
-    if len(mats) == 1:
-        return mats[0]
-    if ordering == "left":
-        orders = [tuple(range(len(mats)))]
-    elif ordering == "right":
-        orders = [tuple(reversed(range(len(mats))))]
-    else:
-        # the factors are Hermitian, so the reversed product is the
-        # adjoint: half the permutations plus their adjoints give the
-        # average, and x_ij + conj(x_ji) makes it Hermitian to the bit
-        orders = [o for o in permutations(range(len(mats))) if o[0] < o[-1]]
-    acc = None
-    for order in orders:
-        prod = mats[order[0]]
-        for i in order[1:]:
-            prod = prod @ mats[i]
-        acc = prod if acc is None else acc + prod
-    if ordering == "symmetric":
-        return (acc + acc.conj().T) / (2 * len(orders))
-    return acc / len(orders)
+    """Quantize a momentum polynomial through its affine factorization:
+    a one-row fill of ``quantizer(f, grid, cover, ordering)``."""
+    return quantizer(f, grid, cover, ordering).operator(t, sigma)
 
 
 def inner_product(a: WaveSection, b: WaveSection) -> complex:

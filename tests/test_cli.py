@@ -5,6 +5,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from leafquant.cli import main
 from leafquant.runner import (MATRIX_MAGIC, RunError, RunReport,
@@ -69,6 +70,32 @@ def test_report_json_round_trip(tmp_path):
     reloaded = RunReport.from_json((tmp_path / "out" / "report.json")
                                    .read_text())
     assert reloaded == report
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_BLOCKS = st.dictionaries(st.text(max_size=8), st.recursive(
+    st.none() | st.booleans() | st.integers() | _FLOATS | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=8), inner,
+                                     max_size=3)),
+    max_leaves=8), max_size=4)
+
+
+@given(report=st.builds(
+    RunReport, scenario=st.text(), n_parameters=st.integers(0, 4),
+    n_fiber=st.integers(1, 2), steps=st.integers(1, 10 ** 6),
+    unitary_steps=st.integers(0, 10 ** 4), static_collapse=st.booleans(),
+    rows=st.integers(0, 10 ** 6), phases=_BLOCKS, unitarity_defect=_FLOATS,
+    max_step_hermiticity_defect=_FLOATS, norm_drift=_FLOATS,
+    tolerances=st.dictionaries(st.text(max_size=8), _FLOATS, max_size=4),
+    artifacts=st.dictionaries(st.text(max_size=8), st.text(), max_size=3),
+    split=st.none() | _BLOCKS, ehrenfest=st.none() | _BLOCKS,
+    convergence=st.none() | _BLOCKS,
+    reparametrization=st.none() | _BLOCKS,
+    wall_clock_seconds=_FLOATS))
+def test_random_report_round_trips_through_json(report):
+    assert RunReport.from_json(report.to_json()) == report
+    assert RunReport.from_json(report.to_json(indent=None)) == report
 
 
 def test_runs_are_deterministic(tmp_path):

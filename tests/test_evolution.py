@@ -125,9 +125,11 @@ def test_dynamic_operator_static_kinetic_cache():
     dh = oscillator_dh(n_grid=64)
     m0 = dynamic_operator(dh, 0.3).dense()
     m1 = dynamic_operator(dh, 1.7).dense()
-    # kinetic block cached, potential moves with the path
-    assert dh._high_matrix is not None
-    assert np.linalg.norm(m0 - m1) > 1e-3
+    # the kinetic part is filled the same at every time, and only the
+    # potential moves with the path
+    gap = m0 - m1
+    assert np.array_equal(gap, np.diag(np.diag(gap)))
+    assert np.linalg.norm(gap) > 1e-3
 
 
 def test_full_generator_is_sum():
@@ -358,13 +360,15 @@ def test_transport_product_matches_expm(n_grid, segments):
 
 def test_transport_product_keeps_hermiticity_gate(monkeypatch):
     # the one-sided assembly is not Hermitian once the drift varies in q
-    def literal_block(f, grid, t, sigma, rate=()):
-        return np.array([quantize_affine_literal(f, grid, *row).matrix.data
-                         for row in zip(t, sigma, rate)])
+    dh = nonabelian_dh(n_grid=48)
 
-    monkeypatch.setattr(evolution, "quantize_affine_block", literal_block)
+    def literal_rows(q, t, sigma, rate):
+        for row in zip(t, sigma, rate):
+            yield quantize_affine_literal(dh.geometric, dh.grid, *row).matrix
+
+    monkeypatch.setattr(evolution, "_rows", literal_rows)
     with pytest.raises(RuntimeError, match="hermiticity"):
-        geometric_factor(nonabelian_dh(n_grid=48), segments=4)
+        geometric_factor(dh, segments=4)
 
 
 @given(slope=st.floats(0.2, 1.0), radius=st.floats(0.3, 1.0))
@@ -502,8 +506,9 @@ def test_propagate_matches_dense_on_random_drives(amp, freq, slope):
         [expr(f"{amp!r}*sin({freq!r}*t)", ["t"])], span=(0.0, 1.0))
     with pytest.MonkeyPatch.context() as mp:
         # blocks of 20 rows at 96 entries (the 1-D stencil), 12 at 160
-        # (its union with p^2) and 6 at 320 (the 8 x 8 stencil), so the
-        # step counts below cross block ends that no count divides
+        # (its union with p^2), 6 at 320 (the 8 x 8 stencil) and 2 at
+        # 832 (its union with p1^2, p2^2 and p1 p2), so the step counts
+        # below cross block ends that no count divides
         mp.setattr(evolution, "BLOCK_BYTES", 16 * 320 * 6)
         # static high part: the full generator lives on the union pattern
         ham = P(1, {(1, 1): c(0.5), (): 0.5 * (Var("q1") - Var("s1")) ** 2})
@@ -511,13 +516,14 @@ def test_propagate_matches_dense_on_random_drives(amp, freq, slope):
             BundleModel(1, 1, ((c(1.0) + slope * Var("q1"),),)), drive,
             ham, FiberGrid((32,), (6.0,)))
         assert_propagation_matches_dense(dh, 101)
-        # two axes with a sigma-dependent p1 p2 term, added at every step
+        # two axes with a sigma-dependent p1 p2 term, sampled every step
         ham = P(2, {(1, 1): c(0.5), (2, 2): c(0.5),
                     (1, 2): 0.3 * Var("s1"),
                     (): 0.5 * (Var("q1") ** 2 + Var("q2") ** 2)})
         dh = DrivenHamiltonian(BundleModel(1, 2, ((c(1.0),), (c(slope),))),
                                drive, ham, FiberGrid((8, 8), (4.0, 4.0)))
-        assert not dh._high_static
+        assert [dh.full_quantizer.nnz, dh.geometric_quantizer.nnz] == [832,
+                                                                      320]
         assert_propagation_matches_dense(dh, 41)
         # a static window: one row of generator data for every step
         ham = P(1, {(1, 1): c(0.5),
@@ -531,25 +537,34 @@ def test_propagate_matches_dense_on_random_drives(amp, freq, slope):
 
 
 def test_hot_loops_make_no_per_step_quantize_affine(monkeypatch):
-    calls = []
+    builds, fills = [], []
 
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return quantize_affine(*args, **kwargs)
+    def counted_build(*args, **kwargs):
+        builds.append(args[0])
+        return operators.quantizer(*args, **kwargs)
 
-    monkeypatch.setattr(operators, "quantize_affine", counted)
-    monkeypatch.setattr(evolution, "quantize_affine", counted)
+    block = operators.Quantizer.block
+
+    def counted_block(self, t, *args, **kwargs):
+        fills.append(len(t))
+        return block(self, t, *args, **kwargs)
+
+    monkeypatch.setattr(evolution, "quantizer", counted_build)
+    monkeypatch.setattr(operators.Quantizer, "block", counted_block)
     ws = WaveSection.gaussian(FiberGrid((64,), (8.0,)), momentum=0.3)
-    made = []
     for steps in (10, 100):
-        calls.clear()
+        builds.clear()
+        fills.clear()
         propagate_state(oscillator_dh(n_grid=64, t1=1.0), ws, steps=steps)
-        made.append(len(calls))
-    # only the momentum-quadratic part, quantized once per window
-    assert made[0] == made[1] < 10
-    calls.clear()
+        # two quantizers, G + H' and G, each filling the whole window in
+        # one block; the one-row fill is the q-only factor p1 that the
+        # build of the p1^2 weights quantizes
+        assert len(builds) == 2
+        assert sorted(fills) == [1, steps, steps]
+    builds.clear()
+    fills.clear()
     geometric_factor(nonabelian_dh(n_grid=32), segments=64)
-    assert calls == []
+    assert len(builds) == 1 and fills == [64]
 
 
 def test_heisenberg_canonical_relation():

@@ -12,9 +12,11 @@ from leafquant.observables import (
     BumpCover,
     CoverageError,
     PolynomialObservable,
+    decompose_polynomial,
     poisson_bracket,
 )
 from leafquant.operators import (
+    ORDERINGS,
     FiberGrid,
     LinearOperator,
     WaveSection,
@@ -29,13 +31,12 @@ from leafquant.operators import (
     momentum_expectations,
     position_expectations,
     quantize_affine,
-    quantize_affine_block,
     quantize_affine_literal,
     quantize_polynomial,
+    quantizer,
     symbol_commutator,
     symbol_difference,
     symbol_scale,
-    _stencil,
 )
 
 P = PolynomialObservable
@@ -355,46 +356,118 @@ def test_numeric_binding_matches_substitution(c, t, s, v):
             quantize_affine(f, g, t, (s,))
 
 
+def _ordered_product(mats, ordering):
+    """Sum over the factor orders of the sparse products, as ``ordering``
+    prescribes; the reference for the quantizer's precomputed weights."""
+    if len(mats) == 1:
+        return mats[0]
+    if ordering == "left":
+        orders = [tuple(range(len(mats)))]
+    elif ordering == "right":
+        orders = [tuple(reversed(range(len(mats))))]
+    else:
+        orders = [o for o in itertools.permutations(range(len(mats)))
+                  if o[0] < o[-1]]
+    acc = None
+    for order in orders:
+        prod = mats[order[0]]
+        for i in order[1:]:
+            prod = prod @ mats[i]
+        acc = prod if acc is None else acc + prod
+    if ordering == "symmetric":
+        return (acc + acc.conj().T) / (2 * len(orders))
+    return acc / len(orders)
+
+
+def _product_route(f, g, t, s, v, cover, ordering):
+    """Dense sum over the factorization of sparse products of the factors."""
+    total = sum(_ordered_product(
+        [quantize_affine(h, g, t, s, v).matrix for h in group], ordering)
+        for group in decompose_polynomial(f, cover).factors)
+    return total.toarray()
+
+
+def _random_high(dim, degree, h):
+    """Momentum-degree 2..degree part with t-, s1- and q-dependent
+    coefficients."""
+    q = [Var(f"q{k + 1}") for k in range(dim)]
+    t, s1 = Var("t"), Var("s1")
+    terms = {(1, 1): h[0] * (1.0 + 0.3 * q[-1] ** 2) + h[1] * s1 * t}
+    if dim == 2:
+        terms[(1, 2)] = h[2] * parse_expr("cos(t + q1)",
+                                          allowed_vars=["t", "q1"])
+        terms[(2, 2)] = 0.5 + h[3] * s1
+    if degree == 3:
+        terms[(1, 1, dim)] = h[3] * parse_expr("sin(s1 + q1)",
+                                               allowed_vars=["s1", "q1"])
+    return P(dim, terms)
+
+
 @given(c=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
-       seed=st.integers(0, 2 ** 16))
-def test_block_fill_matches_per_row_quantize_affine(c, seed):
+       h=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+       degree=st.integers(2, 3), seed=st.integers(0, 2 ** 16))
+def test_quantizer_fills_match_rows_and_product_route(c, h, degree, seed):
     rng = np.random.default_rng(seed)
+    covers = {1: BumpCover(1, (((-3.0, 7.0),), ((3.0, 7.0),))),
+              2: BumpCover(2, (((-2.0, 7.0), (0.0, 7.0)),
+                               ((2.0, 7.0), (0.5, 7.0))))}
     for g in (FiberGrid((32,), (4.0,)), FiberGrid((8, 8), (3.0, 2.0))):
         f = _rate_affine(g.dim, c)
-        nnz = quantize_affine(f, g, 0.0, (0.0,), (0.0,)).matrix.nnz
-        # one row, and one more row than an evolution block holds
-        for k in (1, evolution._blocks(1, nnz)[0].stop + 1):
-            t = rng.uniform(-3.0, 3.0, k)
-            s, v = rng.uniform(-1.0, 1.0, (k, 1)), rng.uniform(-2.0, 2.0,
-                                                              (k, 1))
-            block = quantize_affine_block(f, g, t, s, v)
-            rows = [quantize_affine(f, g, t[r], s[r], v[r]).matrix.data
-                    for r in range(k)]
-            assert np.array_equal(block, np.array(rows))
-            chunks = [quantize_affine_block(f, g, t[b], s[b], v[b])
-                      for b in evolution._blocks(k, nnz)]
-            assert np.array_equal(np.concatenate(chunks), block)
-        with pytest.raises(ValueError, match="binding incomplete.*v1"):
-            quantize_affine_block(f, g, t, s)
-        # one non-finite row fails the whole block
-        bad = affine([Var("q1") / Var("t")] * g.dim, Const(0.0), dim=g.dim)
+        poly = f + _random_high(g.dim, degree, h)
+        cases = [(f, None, "symmetric")] + [
+            (poly, cover, ordering) for cover in (None, covers[g.dim])
+            for ordering in ORDERINGS]
+        for obs, cover, ordering in cases:
+            q = quantizer(obs, g, cover, ordering)
+            one_row = (q.operator if obs is not f
+                       else lambda *row: quantize_affine(f, g, *row))
+            with pytest.MonkeyPatch.context() as mp:
+                if obs is not f:
+                    # blocks of 4 rows keep the polynomial cases cheap
+                    mp.setattr(evolution, "BLOCK_BYTES", 16 * q.nnz * 4)
+                # one row, and one more row than an evolution block holds
+                for k in (1, evolution._blocks(1, q.nnz)[0].stop + 1):
+                    t = rng.uniform(-3.0, 3.0, k)
+                    s, v = rng.uniform(-1.0, 1.0, (k, 1)), rng.uniform(
+                        -2.0, 2.0, (k, 1))
+                    block = q.block(t, s, v)
+                    assert block.flags.c_contiguous
+                    rows = [one_row(t[r], s[r], v[r]).matrix.data
+                            for r in range(k)]
+                    assert np.array_equal(block, np.array(rows))
+                    chunks = [q.block(t[b], s[b], v[b])
+                              for b in evolution._blocks(k, q.nnz)]
+                    assert np.array_equal(np.concatenate(chunks), block)
+            for r in (0, k - 1):
+                m = q.csr(block[r]).toarray()
+                ref = _product_route(obs, g, t[r], s[r], v[r], cover,
+                                     ordering)
+                assert np.linalg.norm(m - ref) <= 1e-14 * np.linalg.norm(ref)
+                if ordering == "symmetric":
+                    assert np.array_equal(m, m.conj().T)
+            with pytest.raises(ValueError, match="binding incomplete.*v1"):
+                q.block(t, s)
+        # one non-finite row fails the whole block, in either part
         t[k // 2] = 0.0
-        with pytest.raises(EvaluationError):
-            quantize_affine_block(bad, g, t, s)
+        for bad in (affine([Var("q1") / Var("t")] * g.dim, Const(0.0),
+                           dim=g.dim),
+                    P(g.dim, {(1, 1): Var("q1") / Var("t")})):
+            with pytest.raises(EvaluationError):
+                quantizer(bad, g).block(t, s)
 
 
-def test_stencil_union_holds_affine_plus_high_part():
+def test_quantizer_pattern_holds_affine_plus_high_part():
     for g in (FiberGrid((16,), (4.0,)), FiberGrid((8, 8), (3.0, 2.0))):
         f = _rate_affine(g.dim, [0.3, -0.7, 0.2, 0.5, 1.1, -0.4])
         terms = {(1, 1): 0.5 * (1.0 + 0.2 * Var("q1"))}
         if g.dim == 2:
             terms[(1, 2)] = Var("q2")
-        high = quantize_polynomial(P(g.dim, terms), g).matrix
-        total, place, values = _stencil(g).union(high)
-        aff = quantize_affine(f, g, 0.4, (0.3,), (-0.8,)).matrix
-        values[place] += aff.data
-        total.data = values
-        assert np.array_equal(total.toarray(), (aff + high).toarray())
+        high = P(g.dim, terms)
+        total = quantizer(f + high, g).operator(0.4, (0.3,), (-0.8,))
+        parts = (quantize_affine(f, g, 0.4, (0.3,), (-0.8,)).dense()
+                 + quantize_polynomial(high, g, 0.4, (0.3,)).dense())
+        assert np.array_equal(total.dense(), parts)
+        assert total.matrix.has_sorted_indices
 
 
 def test_mixed_storage_arithmetic_matches_dense():
