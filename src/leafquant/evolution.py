@@ -24,8 +24,10 @@ read at all its times at once, the quantizer fills blocks of at most
 points one reused CSR array at its row.  The classical flow reads the
 path at all its RK4 stage times at once.
 
-U is the midpoint-ordered product of exact Hermitian-eigendecomposition
-exponentials, so unitarity holds to rounding at every step count.
+The dense pass forms U and the transport product U_geo once per window;
+the split reads both and forms only U_dyn.  U and U_dyn are products of
+exact eigendecomposition exponentials (``_step_unitary``, the one such
+route), so unitarity holds to rounding at every step count.
 
 Small exponentials are applied, not formed: one adaptive Taylor series
 of sparse products acts on a state (the fine-step state propagator, on
@@ -61,7 +63,6 @@ from .operators import (
     FiberGrid,
     LinearOperator,
     WaveSection,
-    expm_hermitian,
     inner_product,
     momentum_expectations,
     position_expectations,
@@ -102,6 +103,13 @@ TRANSPORT_SUBSTEP_NORM = 2.0
 # stops each at rounding to stay unitary to about 1e-13
 STATE_TAYLOR_TOL = 1e-13
 TRANSPORT_TAYLOR_TOL = 1e-16
+# a series still above its tolerance after this many terms raises
+TAYLOR_MAX_TERMS = 64
+# the split: commutator samples, the relative commutator norm of a
+# commuting family, and the factorization defect it must close to
+SPLIT_SAMPLES = 32
+COMMUTING_THRESHOLD = 1e-10
+SPLIT_TOL = 1e-8
 # bytes of complex generator data filled at once: a long window is
 # sampled in blocks of rows, so it adds little to peak memory
 BLOCK_BYTES = 1 << 20
@@ -197,12 +205,12 @@ def full_generator(dh: DrivenHamiltonian, t: float) -> LinearOperator:
 @dataclass
 class EvolutionResult:
     unitary: LinearOperator
+    geometric: LinearOperator
     times: np.ndarray
     unitarity_defect: float
     max_step_hermiticity_defect: float
     static_collapse: bool = False
     final_state: WaveSection | None = None
-    trajectory: list[WaveSection] | None = None
     phase_total: float | None = None
     phase_total_unwrapped: float | None = None
     phase_geometric: float | None = None
@@ -286,76 +294,82 @@ def _is_static(dh: DrivenHamiltonian) -> bool:
     return dh.path.is_constant()
 
 
-def _gated_dense(h: sp.csr_array, tol: float = HERMITICITY_STEP_TOL):
-    """h as an ndarray and its relative hermiticity defect (at most tol)."""
+def _gated_dense(h: sp.csr_array):
+    """h as an ndarray and its relative hermiticity defect, at most
+    HERMITICITY_STEP_TOL."""
     m = h.toarray()
     defect = _relative_defect(m)
-    if defect > tol:
+    if defect > HERMITICITY_STEP_TOL:
         raise RuntimeError(
             f"step generator lost hermiticity (relative defect {defect:.3e})")
     return m, defect
 
 
 def _step_unitary(h: sp.csr_array, dt: float):
-    """exp(-i dt h) (dense) and the relative hermiticity defect of h."""
+    """exp(-i dt h) (dense) and the relative hermiticity defect of h:
+    the one eigendecomposition exponential, and the one gate on it."""
     m, defect = _gated_dense(h)
     w, v = np.linalg.eigh(m)
     return (v * np.exp(-1j * dt * w)) @ v.conj().T, defect
 
 
+def _step_product(q: Quantizer, dh: DrivenHamiltonian, times: np.ndarray,
+                  static: bool, psi: np.ndarray | None = None):
+    """Midpoint-ordered product of exact step exponentials of q's fills,
+    a static window's one taken to the power: (U, worst hermiticity
+    defect, ``psi`` carried along, its overlaps with ``psi`` per step)."""
+    steps = len(times) - 1
+    dt = (times[-1] - times[0]) / steps
+    factors = (_step_unitary(h, dt)
+               for h in _path_rows(q, dh, times[[0, -1]] if static else times))
+    if static:
+        factors = itertools.repeat(next(factors), steps)
+    u = np.eye(dh.grid.size, dtype=complex)
+    max_defect = 0.0
+    start, overlaps = psi, []
+    for u_step, step_defect in factors:
+        max_defect = max(max_defect, step_defect)
+        if psi is not None:
+            psi = u_step @ psi
+            overlaps.append(np.vdot(start, psi))
+        u = u_step if static else u_step @ u
+        del u_step  # freed before the next step's eigendecomposition
+    if static:
+        u = np.linalg.matrix_power(u, steps)
+    return u, max_defect, psi, overlaps
+
+
 def evolve_time_ordered(dh: DrivenHamiltonian, steps: int,
-                        emit_trajectory: bool = False,
                         initial: WaveSection | None = None,
                         t_start: float | None = None,
-                        t_end: float | None = None,
-                        geometric_phases: bool = False) -> EvolutionResult:
-    """Midpoint-ordered product of exact step exponentials.
+                        t_end: float | None = None) -> EvolutionResult:
+    """The dense pass: U and the transport product U_geo over one window.
 
-    With ``initial`` the state is carried along and the total phase
-    (also unwrapped over the steps) is reported; ``geometric_phases``
-    additionally integrates the geometric factor over the same window
-    and reports its phase on the initial state.
+    U is the midpoint-ordered product of exact step exponentials; U_geo
+    (``EvolutionResult.geometric``) is the transport product over the
+    same times, which ``split_evolution`` reads instead of forming it
+    again.  With ``initial`` the state is carried along, and the total
+    phase (also unwrapped over the steps) and the geometric phase of
+    U_geo on the initial state are reported.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
     t0, t1 = _resolve_span(dh, t_start, t_end)
     times = np.linspace(t0, t1, steps + 1)
-    dt = (t1 - t0) / steps
-    size = dh.grid.size
-
-    psi = None
+    psi0 = None
     if initial is not None:
         if initial.grid != dh.grid:
             raise ValueError("initial state lives on a different grid")
-        psi = initial.values.copy()
-    overlaps = []
-    snapshots: list[WaveSection] | None = [] if emit_trajectory else None
+        psi0 = initial.values
 
-    # a static window is one step exponential, taken to the power
     static = _is_static(dh)
-    factors = (_step_unitary(h, dt) for h in _path_rows(
-        dh.full_quantizer, dh, np.array([t0, t1]) if static else times))
-    if static:
-        factors = itertools.repeat(next(factors), steps)
-    u = np.eye(size, dtype=complex)
-    max_defect = 0.0
-    for j, (u_step, step_defect) in enumerate(factors):
-        max_defect = max(max_defect, step_defect)
-        if not static:
-            u = u_step @ u
-        if psi is not None:
-            if snapshots is not None:
-                snapshots.append(WaveSection(dh.grid, psi.copy(),
-                                             float(times[j]),
-                                             dh.path.value(times[j])))
-            psi = u_step @ psi
-            overlaps.append(np.vdot(initial.values, psi))
-    if static:
-        u = np.linalg.matrix_power(u_step, steps)
-
-    defect = float(np.linalg.norm(u @ u.conj().T - np.eye(size)))
+    u, max_defect, psi, overlaps = _step_product(dh.full_quantizer, dh,
+                                                 times, static, psi0)
+    geo, phase_geometric_unwrapped = _geometric_product(dh, times, psi0)
+    defect = float(np.linalg.norm(u @ u.conj().T - np.eye(len(u))))
     result = EvolutionResult(
         unitary=LinearOperator(dh.grid, u),
+        geometric=LinearOperator(dh.grid, geo),
         times=times,
         unitarity_defect=defect,
         max_step_hermiticity_defect=max_defect,
@@ -364,33 +378,39 @@ def evolve_time_ordered(dh: DrivenHamiltonian, steps: int,
     if psi is not None:
         result.final_state = WaveSection(dh.grid, psi, t1,
                                          dh.path.value(t1))
-        if snapshots is not None:
-            snapshots.append(result.final_state)
-            result.trajectory = snapshots
         args = np.angle(np.asarray(overlaps))
         result.phase_total = float(args[-1])
         result.phase_total_unwrapped = float(np.unwrap(
             np.concatenate(([0.0], args)))[-1])
-        if geometric_phases:
-            geo, phase_unwrapped = _geometric_product(
-                dh, times, initial=initial.values)
-            result.phase_geometric = float(
-                np.angle(inner_product(
-                    WaveSection(dh.grid, geo @ initial.values), initial)))
-            result.phase_geometric_unwrapped = phase_unwrapped
+        result.phase_geometric = float(
+            np.angle(inner_product(
+                WaveSection(dh.grid, geo @ psi0), initial)))
+        result.phase_geometric_unwrapped = phase_geometric_unwrapped
     return result
 
 
 # -- geometric factor ----------------------------------------------------
 
 
+def _segments(dh: DrivenHamiltonian, times: np.ndarray, sig: np.ndarray):
+    """Yield each segment's generator, its rates bound to its increment
+    at its midpoint, and the count of equal substeps that keeps their
+    bound ||h||_1 within TRANSPORT_SUBSTEP_NORM."""
+    for h in _rows(dh.geometric_quantizer, 0.5 * (times[1:] + times[:-1]),
+                   0.5 * (sig[1:] + sig[:-1]), sig[1:] - sig[:-1]):
+        norm1 = np.bincount(h.indices, weights=np.abs(h.data),
+                            minlength=h.shape[1]).max()
+        yield h, max(1, math.ceil(norm1 / TRANSPORT_SUBSTEP_NORM))
+
+
 def _geometric_product(dh: DrivenHamiltonian, times: np.ndarray,
                        initial: np.ndarray | None = None):
     """Ordered product over parameter increments; returns (U, phase).
 
-    The phase is the unwrapped angle accumulated by ``initial`` under
-    the segment factors (None when not tracked or when the commuting
-    shortcut is taken without per-segment factors).
+    The phase is the unwrapped angle of ``initial`` under the segment
+    factors (None without it).  A commuting family telescopes to one
+    exponential; its angle on ``initial`` gains the full turns counted
+    on ``initial`` carried through the segments.
     """
     sig = dh.path.values(times)
     qvars = {f"q{k}" for k in range(1, dh.grid.dim + 1)}
@@ -402,24 +422,26 @@ def _geometric_product(dh: DrivenHamiltonian, times: np.ndarray,
         # One commuting family: the increments telescope exactly.
         op = dh.geometric_quantizer.operator(float(times[0]), sig[0],
                                              sig[-1] - sig[0])
-        u = expm_hermitian(op, prefactor=-1j)
-        phase = None
-        if initial is not None:
-            phase = float(np.angle(np.vdot(initial, u @ initial)))
-        return u, phase
+        u, _ = _step_unitary(op.matrix, 1.0)
+        if initial is None:
+            return u, None
+        phase = float(np.angle(np.vdot(initial, u @ initial)))
+        psi, args = initial, [0.0]
+        for h, substeps in _segments(dh, times, sig):
+            for _ in range(substeps):
+                psi = _taylor_apply(h, psi, 1.0 / substeps,
+                                    TRANSPORT_TAYLOR_TOL)
+            args.append(np.angle(np.vdot(initial, psi)))
+        turns = round((phase - np.unwrap(args)[-1]) / (2.0 * np.pi))
+        return u, phase - 2.0 * np.pi * turns
 
     # each small increment acts on the running product, so no segment
-    # exponential is formed; the tracked state is read off the product.
-    # Segment j binds the rates to its increment at its midpoint.
+    # exponential is formed; the tracked state is read off the product
     u = np.eye(dh.grid.size, dtype=complex)
     prev = initial
     phase = 0.0
-    for h in _rows(dh.geometric_quantizer, 0.5 * (times[1:] + times[:-1]),
-                   0.5 * (sig[1:] + sig[:-1]), sig[1:] - sig[:-1]):
+    for h, substeps in _segments(dh, times, sig):
         _gated_dense(h)
-        norm1 = np.bincount(h.indices, weights=np.abs(h.data),
-                            minlength=h.shape[1]).max()
-        substeps = max(1, math.ceil(norm1 / TRANSPORT_SUBSTEP_NORM))
         for _ in range(substeps):
             u = _taylor_apply(h, u, 1.0 / substeps, TRANSPORT_TAYLOR_TOL)
         if initial is not None:
@@ -450,25 +472,22 @@ def geometric_factor(dh: DrivenHamiltonian, t_end: float | None = None,
     return LinearOperator(dh.grid, u)
 
 
-def split_evolution(dh: DrivenHamiltonian, full: EvolutionResult,
-                    samples: int = 32, commuting_threshold: float = 1e-10,
-                    split_tol: float = 1e-8):
-    """Factor the dense product ``full`` as U_geo U_dyn and check the split.
+def split_evolution(dh: DrivenHamiltonian, full: EvolutionResult):
+    """Factor the dense pass ``full`` (of ``dh``) as U_geo U_dyn.
 
-    ``full`` is the result of ``evolve_time_ordered`` on ``dh``; its
-    window and step count fix the geometric and dynamic products.
-    Returns (U_geo, U_dyn, SplitReport).  The report carries the largest
-    relative commutator norm over sampled times; only when the family
-    genuinely commutes is the factorization defect asserted.
+    ``full`` carries U and U_geo; only U_dyn, the step product of H'
+    over the same times, is formed here.  Returns (U_geo, U_dyn,
+    SplitReport): the largest relative commutator norm over
+    SPLIT_SAMPLES times, and the factorization defect, held to
+    SPLIT_TOL when the family commutes.
     """
     if full.unitary.grid != dh.grid:
         raise ValueError("dense result lives on a different grid")
     times = full.times
-    t0, t1, steps = float(times[0]), float(times[-1]), len(times) - 1
-    u_geo = geometric_factor(dh, t_end=t1, t_start=t0, segments=steps)
-    u_dyn = _dynamic_only(dh, t0, t1, steps)
+    u_dyn = _step_product(dh.dynamic_quantizer, dh, times,
+                          full.static_collapse)[0]
     comm_max = 0.0
-    ts = np.linspace(t0, t1, samples)
+    ts = np.linspace(times[0], times[-1], SPLIT_SAMPLES)
     sig, rate = dh.path.values(ts), dh.path.velocities(ts)
     for g, h in zip(_rows(dh.geometric_quantizer, ts, sig, rate),
                     _rows(dh.dynamic_quantizer, ts, sig, rate)):
@@ -478,22 +497,14 @@ def split_evolution(dh: DrivenHamiltonian, full: EvolutionResult,
             continue
         comm_max = max(comm_max, g.commutator(h).frobenius() / (ng * nh))
     defect = float(np.linalg.norm(
-        full.unitary.matrix - u_geo.matrix @ u_dyn.matrix))
-    commuting = bool(comm_max <= commuting_threshold)
-    if commuting and defect > split_tol:
+        full.unitary.matrix - full.geometric.matrix @ u_dyn))
+    commuting = bool(comm_max <= COMMUTING_THRESHOLD)
+    if commuting and defect > SPLIT_TOL:
         raise RuntimeError(
             f"commuting generators but factorization defect {defect:.3e} "
-            f"exceeds {split_tol:.1e}")
-    return u_geo, u_dyn, SplitReport(float(comm_max), defect, commuting)
-
-
-def _dynamic_only(dh, t0, t1, steps) -> LinearOperator:
-    times = np.linspace(t0, t1, steps + 1)
-    dt = (t1 - t0) / steps
-    u = np.eye(dh.grid.size, dtype=complex)
-    for h in _path_rows(dh.dynamic_quantizer, dh, times):
-        u = _step_unitary(h, dt)[0] @ u
-    return LinearOperator(dh.grid, u)
+            f"exceeds {SPLIT_TOL:.1e}")
+    return (full.geometric, LinearOperator(dh.grid, u_dyn),
+            SplitReport(float(comm_max), defect, commuting))
 
 
 # -- state-only propagation ---------------------------------------------
@@ -523,8 +534,8 @@ def _path_rows(q: Quantizer, dh: DrivenHamiltonian, times: np.ndarray):
     return _rows(q, mids, dh.path.values(mids), dh.path.velocities(mids))
 
 
-def _taylor_apply(h: sp.csr_array, x: np.ndarray, dt: float, tol: float,
-                  max_terms: int = 64) -> np.ndarray:
+def _taylor_apply(h: sp.csr_array, x: np.ndarray, dt: float,
+                  tol: float) -> np.ndarray:
     """exp(-i dt h) applied to a vector or to an N x N block.
 
     The Taylor series stops at the first term whose norm (Frobenius for
@@ -534,7 +545,7 @@ def _taylor_apply(h: sp.csr_array, x: np.ndarray, dt: float, tol: float,
     bound = tol * tol * (flat @ flat)
     out = x.copy()
     term = x
-    for j in range(1, max_terms + 1):
+    for j in range(1, TAYLOR_MAX_TERMS + 1):
         term = h @ term
         term *= -1j * dt / j
         out += term

@@ -56,7 +56,6 @@ __all__ = [
     "expectation_value",
     "position_expectations",
     "momentum_expectations",
-    "expm_hermitian",
     "affine_symbol",
     "symbol_commutator",
     "symbol_scale",
@@ -596,22 +595,6 @@ def momentum_expectations(ws: WaveSection) -> np.ndarray:
         val = np.vdot(ws.values, -1j * d.apply(ws.values)).real
         out.append(val * ws.grid.cell_volume)
     return np.array(out) / (ws.norm() ** 2)
-
-
-def expm_hermitian(op, prefactor: complex = 1.0,
-                   defect_tol: float = 1e-9) -> np.ndarray:
-    """exp(prefactor * H) for Hermitian H through its eigensystem.
-
-    ``op`` is a LinearOperator, an ndarray or a sparse array; the
-    result is dense.
-    """
-    h = _to_dense(op.matrix if isinstance(op, LinearOperator) else op)
-    gap = _relative_defect(h)
-    if gap > defect_tol:
-        raise ValueError(
-            f"matrix is not Hermitian (relative defect {gap:.3e})")
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(prefactor * w)) @ v.conj().T
 
 
 # -- symbol layer --------------------------------------------------------

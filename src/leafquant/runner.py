@@ -230,8 +230,7 @@ def run(config: ScenarioConfig, out_dir: str | Path,
                    config.steps, record_every=config.record_every,
                    with_geometric=True)
     dense = _staged("unitary", evolve_time_ordered, dh,
-                    config.unitary_steps, initial=initial,
-                    geometric_phases=True)
+                    config.unitary_steps, initial=initial)
 
     phases = {
         "total": float(traj.phase_total[-1]),

@@ -13,7 +13,6 @@ from leafquant.operators import (
     derivative_matrix,
     expectation_value,
     inner_product,
-    position_expectations,
     quantize_affine,
     quantize_affine_literal,
 )
@@ -204,16 +203,6 @@ def test_phase_unwrap_consistency():
     assert abs(gap - round(gap)) < 1e-9
 
 
-def test_trajectory_emission():
-    dh = oscillator_dh(n_grid=32, t1=1.0)
-    ws = WaveSection.gaussian(dh.grid, width=1.0)
-    res = evolve_time_ordered(dh, steps=10, emit_trajectory=True, initial=ws)
-    assert len(res.trajectory) == 11
-    assert res.trajectory[0].time == 0.0
-    assert res.trajectory[-1].time == 1.0
-    assert np.allclose(res.trajectory[-1].values, res.final_state.values)
-
-
 def test_aliased_drive_is_not_static():
     # the drive and its velocity vanish at all of 17 equally spaced times
     # in [0, 2 pi], yet the packet is dragged by up to 0.5
@@ -225,12 +214,10 @@ def test_aliased_drive_is_not_static():
     ws = WaveSection.gaussian(dh.grid, width=1.0)
     traj = propagate_state(dh, ws, steps=400)
     assert np.max(np.abs(traj.positions)) > 0.1
-    res = evolve_time_ordered(dh, steps=400, initial=ws,
-                              emit_trajectory=True)
+    res = evolve_time_ordered(dh, steps=400, initial=ws)
     assert not res.static_collapse
-    moved = max(abs(position_expectations(snap)[0])
-                for snap in res.trajectory)
-    assert moved > 0.1
+    assert np.linalg.norm(res.final_state.values
+                          - traj.final_state.values) < 1e-9
 
 
 def test_static_sampled_path_collapses():
@@ -358,6 +345,23 @@ def test_transport_product_matches_expm(n_grid, segments):
     assert unitarity_defect(u) <= 1e-12
 
 
+def test_telescoped_transport_keeps_hermiticity_gate(monkeypatch):
+    # a single parameter with a q-dependent coupling telescopes; its
+    # one-sided assembly is not Hermitian
+    bundle = BundleModel(1, 1, ((Var("q1"),),))
+    path = ParameterPath.from_expressions([expr("0.4*sin(t)", ["t"])],
+                                          span=(0.0, 1.0))
+    dh = DrivenHamiltonian(bundle, path, P(1, {}), FiberGrid((32,), (4.0,)))
+
+    class Literal:
+        def operator(self, *row):
+            return quantize_affine_literal(dh.geometric, dh.grid, *row)
+
+    monkeypatch.setitem(dh.__dict__, "geometric_quantizer", Literal())
+    with pytest.raises(RuntimeError, match="hermiticity"):
+        geometric_factor(dh, segments=4)
+
+
 def test_transport_product_keeps_hermiticity_gate(monkeypatch):
     # the one-sided assembly is not Hermitian once the drift varies in q
     dh = nonabelian_dh(n_grid=48)
@@ -381,6 +385,27 @@ def test_loop_factor_unitary_and_matches_expm(slope, radius):
     u = geometric_factor(dh, segments=32).matrix
     assert unitarity_defect(u) <= 1e-12
     assert np.linalg.norm(u - expm_transport(dh, 32)) < 1e-11
+
+
+@given(size=st.floats(0.2, 0.9), sign=st.sampled_from([-1.0, 1.0]),
+       slope=st.floats(0.2, 1.0), radius=st.floats(0.3, 1.0))
+def test_loop_factor_invariant_under_monotone_warp(size, sign, slope,
+                                                   radius):
+    # w(t) = t + a t (2 pi - t) / 2 pi is monotone for |a| < 1 and traces
+    # the same loop: the factors differ only by segment error, which
+    # falls as segments^-2
+    bundle = BundleModel(2, 1, ((c(1.0), slope * Var("q1")),))
+    path = ParameterPath.from_expressions(
+        [expr(f"{radius!r}*cos(t)", ["t"]), expr(f"{radius!r}*sin(t)", ["t"])],
+        span=(0.0, TWO_PI), closed=True)
+    dh = DrivenHamiltonian(bundle, path, P(1, {}), FiberGrid((32,), (6.0,)))
+    warp = expr(f"t + {sign * size!r}*t*({TWO_PI!r} - t)/{TWO_PI!r}", ["t"])
+    warped = DrivenHamiltonian(bundle, reparametrize_path(path, warp),
+                               dh.hamiltonian, dh.grid)
+    gap = [np.linalg.norm(geometric_factor(dh, segments=s).matrix
+                          - geometric_factor(warped, segments=s).matrix)
+           for s in (32, 64)]
+    assert 3.5 <= gap[0] / gap[1] <= 4.5
 
 
 def test_run_builds_each_geometric_factor_once(tmp_path, monkeypatch):
@@ -416,10 +441,49 @@ def test_geometric_phase_abelian_oracle():
     amp, kick, t1 = 0.35, 0.5, 1.0
     dh = oscillator_dh(n_grid=256, t1=t1)
     ws = WaveSection.gaussian(dh.grid, width=1.0, momentum=kick)
-    res = evolve_time_ordered(dh, steps=64, initial=ws,
-                              geometric_phases=True)
+    res = evolve_time_ordered(dh, steps=64, initial=ws)
     delta = amp * np.sin(t1)
     assert res.phase_geometric == pytest.approx(-kick * delta, abs=2e-3)
+
+
+def test_coarse_geometric_phase_unwrapped_on_commuting_family():
+    # the telescoped factor alone reads the wrapped angle, 2 pi above the
+    # fine-step column here; the kicked packet turns by -k * delta sigma
+    dh = oscillator_dh(n_grid=256, half_width=8.0, amp=1.0, t1=1.5)
+    ws = WaveSection.gaussian(dh.grid, width=1.0, momentum=4.0)
+    res = evolve_time_ordered(dh, steps=16, initial=ws)
+    fine = propagate_state(dh, ws, steps=200).phase_geometric[-1]
+    assert fine == pytest.approx(-4.0 * np.sin(1.5), abs=0.1)
+    assert res.phase_geometric_unwrapped == pytest.approx(fine, abs=1e-3)
+    gap = (res.phase_geometric_unwrapped - res.phase_geometric) / TWO_PI
+    assert gap == pytest.approx(round(gap), abs=1e-12)
+
+
+def test_diagnostics_run_forms_the_transport_product_once(tmp_path,
+                                                           monkeypatch):
+    config = parse_scenario({
+        "dims": {"m": 1, "n": 1},
+        "connection": {"lambda": [["1"]]},
+        "path": {"kind": "closed_form", "components": ["0.3*sin(t)"],
+                 "span": [0.0, 1.0]},
+        "hamiltonian": [{"index": [1, 1], "coeff": "0.5"},
+                        {"index": [], "coeff": "0.5*(q1 - s1)^2"}],
+        "grid": {"N": 16, "L": 5.0},
+        "integrator": {"steps": 8, "unitary_steps": 4},
+        "initial": {"center": 0.1, "width": 1.0, "kick": 0.2},
+        "outputs": ["diagnostics"],
+    })
+    calls = []
+    product = evolution._geometric_product
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]) - 1)
+        return product(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "_geometric_product", counted)
+    report = runner.run(config, tmp_path)
+    assert calls == [4]
+    assert report.split is not None
 
 
 # -- factorization -------------------------------------------------------

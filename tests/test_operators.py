@@ -25,7 +25,6 @@ from leafquant.operators import (
     dirac_grid_defect,
     dirac_symbol_defect,
     expectation_value,
-    expm_hermitian,
     hermiticity_defect,
     inner_product,
     momentum_expectations,
@@ -517,16 +516,19 @@ def test_mixed_storage_arithmetic_matches_dense():
 
 
 def test_expm_accepts_sparse_generators():
+    # the step exponential of the evolution takes any sparse format and
+    # returns a dense unitary with the generator's hermiticity defect
     g = FiberGrid((24,), (3.0,))
     op = quantize_polynomial(P(1, {(1, 1): Const(0.5), (): Var("q1")}), g)
-    u = expm_hermitian(op, prefactor=-0.3j)
-    assert isinstance(u, np.ndarray)
-    assert np.array_equal(u, expm_hermitian(op.dense(), prefactor=-0.3j))
-    assert np.array_equal(u, expm_hermitian(op.matrix, prefactor=-0.3j))
+    u, defect = evolution._step_unitary(op.matrix, 0.3)
+    assert isinstance(u, np.ndarray) and defect == 0.0
+    assert np.array_equal(u, evolution._step_unitary(
+        scipy.sparse.csc_array(op.matrix), 0.3)[0])
+    assert np.linalg.norm(u - scipy.linalg.expm(-0.3j * op.dense())) < 1e-12
     rng = np.random.default_rng(5)
     full = rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24))
-    with pytest.raises(ValueError, match="not Hermitian"):
-        expm_hermitian(scipy.sparse.csc_array(full))
+    with pytest.raises(RuntimeError, match="hermiticity"):
+        evolution._step_unitary(scipy.sparse.csc_array(full), 1.0)
 
 
 # -- polynomial quantization ---------------------------------------------
@@ -650,7 +652,7 @@ def test_expm_matches_scipy_and_is_unitary():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
     h = a + a.conj().T
-    u = expm_hermitian(h, prefactor=-1j * 0.37)
+    u, _ = evolution._step_unitary(scipy.sparse.csr_array(h), 0.37)
     ref = scipy.linalg.expm(-1j * 0.37 * h)
     assert np.linalg.norm(u - ref) < 1e-10
     assert np.linalg.norm(u @ u.conj().T - np.eye(40)) < 1e-12
@@ -658,8 +660,8 @@ def test_expm_matches_scipy_and_is_unitary():
 
 def test_expm_rejects_non_hermitian():
     m = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError, match="not Hermitian"):
-        expm_hermitian(m, prefactor=1.0)
+    with pytest.raises(RuntimeError, match="hermiticity"):
+        evolution._step_unitary(scipy.sparse.csr_array(m), 1.0)
 
 
 # -- symbol layer --------------------------------------------------------
