@@ -4,9 +4,9 @@ A model couples an m-dimensional classical parameter space to an
 n-dimensional fiber of mechanical coordinates.  The coupling data are
 the parameter-direction drift fields (n by m expressions in t, s, q),
 an optional pure-time drift, and a path t -> sigma(t) through the
-parameters.  From these the module derives the time-direction section
-of the parameter connection, the composite drift entering the driven
-Hamiltonian, the curvature that detects non-flat coupling, leafwise
+parameters (``DrivenHamiltonian`` composes the drift entering the
+driven Hamiltonian from them).  From these the module derives the
+curvature that detects non-flat coupling, leafwise
 differentials of observables, and the symbolic curvature check behind
 the quantization rule.
 """
@@ -25,12 +25,8 @@ from .observables import HamiltonianVectorField, PolynomialObservable
 __all__ = [
     "BundleModel",
     "ParameterPath",
-    "Gamma",
-    "CompositeConnection",
     "LeafwiseOneForm",
     "PrequantReport",
-    "gamma_from_path",
-    "composite_connection",
     "connection_curvature",
     "leafwise_differential",
     "prequant_curvature_check",
@@ -201,60 +197,6 @@ class ParameterPath:
                     for c in self._velocity_trees]
             return np.stack(cols, axis=-1)
         return np.asarray(self._dspline(ts), dtype=float)
-
-
-@dataclass(frozen=True)
-class Gamma:
-    """Time-direction section of the parameter connection along a path.
-
-    Determined pointwise by the path velocity and deliberately constant
-    across sigma, so evaluating it anywhere off the path returns the
-    same rates.
-    """
-
-    path: ParameterPath
-    components: tuple[Expression, ...] | None
-
-    def evaluate(self, t: float, sigma=None) -> np.ndarray:
-        return self.path.velocity(t)
-
-    @property
-    def sigma_independent(self) -> bool:
-        return True
-
-
-def gamma_from_path(path: ParameterPath) -> Gamma:
-    """Section with value equal to the path velocity at each time."""
-    if path.components is not None:
-        return Gamma(path, tuple(c.diff("t") for c in path.components))
-    return Gamma(path, None)
-
-
-@dataclass(frozen=True)
-class CompositeConnection:
-    """Time-direction drift data of the combined connection."""
-
-    parameter_rates: tuple[Expression, ...]
-    fiber_rates: tuple[Expression, ...]
-
-
-def composite_connection(gamma_components: Sequence[Expression],
-                         bundle: BundleModel) -> CompositeConnection:
-    """Combine parameter rates with the coupling into total fiber drift.
-
-    Returns the pair (parameter rates, fiber rates) where the k-th fiber
-    rate is time_drift_k + sum_lam gamma^lam * sigma_coupling[k][lam].
-    """
-    gam = tuple(gamma_components)
-    if len(gam) != bundle.n_parameters:
-        raise ValueError("gamma arity does not match the bundle")
-    fiber = []
-    for k in range(bundle.n_fiber):
-        total: Expression = bundle.time_drift[k]
-        for lam in range(bundle.n_parameters):
-            total = total + gam[lam] * bundle.sigma_coupling[k][lam]
-        fiber.append(total)
-    return CompositeConnection(gam, tuple(fiber))
 
 
 def connection_curvature(bundle: BundleModel):

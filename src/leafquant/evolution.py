@@ -12,9 +12,10 @@ first use, and everything else binds numbers into these:
 
 - G(t) and H'(t) are fills at (t, sigma(t), sigma'(t)); the full
   generator G + H' is one fill of H*.
-- A transport segment fills G at its midpoint with the rates bound to
-  the parameter increment, v = delta sigma.  Only the traced image
-  curve enters, so invariance under monotone reparametrization is
+- A transport segment (``_segments``, the one route that fills G for
+  stepping) fills G at its midpoint with the rates bound to the
+  parameter increment, v = delta sigma.  Only the traced image curve
+  enters, so invariance under monotone reparametrization is
   structural; a commuting family telescopes to v = sigma(t1) - sigma(t0).
 - The classical flow is the Hamiltonian vector field of H*.
 
@@ -27,12 +28,16 @@ path at all its RK4 stage times at once.
 The dense pass forms U and the transport product U_geo once per window;
 the split reads both and forms only U_dyn.  U and U_dyn are products of
 exact eigendecomposition exponentials (``_step_unitary``, the one such
-route), so unitarity holds to rounding at every step count.
+route), so unitarity holds to rounding at every step count.  The
+geometric phase, fine-step column and coarse value alike, is the
+unwrapped angle of the initial state carried through the transport
+segments over the times asked for (``_transport_phases``).
 
 Small exponentials are applied, not formed: one adaptive Taylor series
 of sparse products acts on a state (the fine-step state propagator, on
-the same per-step generators the dense pass builds) or on an N x N block
-(the transport product, whose running factor starts at the identity).
+the same per-step generators the dense pass builds, and the state
+carried through the transport segments) or on an N x N block (the
+transport product, whose running factor starts at the identity).
 A transport segment whose one-norm bound exceeds
 ``TRANSPORT_SUBSTEP_NORM`` is cut into equal substeps of the same
 generator; a state step too large for the series raises instead.
@@ -97,10 +102,10 @@ HERMITICITY_STEP_TOL = 1e-10
 # converges within about 25 terms, and no term exceeds twice the input,
 # so the partial sums lose little to cancellation
 TRANSPORT_SUBSTEP_NORM = 2.0
-# Taylor stopping tolerances relative to the input's norm: the state
-# stream's truncation sits far below its second-order step error, while
-# the transport product multiplies up to thousands of factors and so
-# stops each at rounding to stay unitary to about 1e-13
+# Taylor stopping tolerances relative to the input's norm: a carried
+# state's truncation sits far below its second-order step or segment
+# error, while the transport product multiplies up to thousands of
+# factors and so stops each at rounding to stay unitary to about 1e-13
 STATE_TAYLOR_TOL = 1e-13
 TRANSPORT_TAYLOR_TOL = 1e-16
 # a series still above its tolerance after this many terms raises
@@ -349,8 +354,9 @@ def evolve_time_ordered(dh: DrivenHamiltonian, steps: int,
     (``EvolutionResult.geometric``) is the transport product over the
     same times, which ``split_evolution`` reads instead of forming it
     again.  With ``initial`` the state is carried along, and the total
-    phase (also unwrapped over the steps) and the geometric phase of
-    U_geo on the initial state are reported.
+    phase (also unwrapped over the steps), the angle of U_geo on the
+    initial state and its unwrapped lift over the same segments
+    (``_transport_phases``) are reported.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -365,7 +371,7 @@ def evolve_time_ordered(dh: DrivenHamiltonian, steps: int,
     static = _is_static(dh)
     u, max_defect, psi, overlaps = _step_product(dh.full_quantizer, dh,
                                                  times, static, psi0)
-    geo, phase_geometric_unwrapped = _geometric_product(dh, times, psi0)
+    geo = _geometric_product(dh, times)
     defect = float(np.linalg.norm(u @ u.conj().T - np.eye(len(u))))
     result = EvolutionResult(
         unitary=LinearOperator(dh.grid, u),
@@ -385,17 +391,19 @@ def evolve_time_ordered(dh: DrivenHamiltonian, steps: int,
         result.phase_geometric = float(
             np.angle(inner_product(
                 WaveSection(dh.grid, geo @ psi0), initial)))
-        result.phase_geometric_unwrapped = phase_geometric_unwrapped
+        result.phase_geometric_unwrapped = float(
+            _transport_phases(dh, times, psi0)[-1])
     return result
 
 
 # -- geometric factor ----------------------------------------------------
 
 
-def _segments(dh: DrivenHamiltonian, times: np.ndarray, sig: np.ndarray):
+def _segments(dh: DrivenHamiltonian, times: np.ndarray):
     """Yield each segment's generator, its rates bound to its increment
     at its midpoint, and the count of equal substeps that keeps their
     bound ||h||_1 within TRANSPORT_SUBSTEP_NORM."""
+    sig = dh.path.values(times)
     for h in _rows(dh.geometric_quantizer, 0.5 * (times[1:] + times[:-1]),
                    0.5 * (sig[1:] + sig[:-1]), sig[1:] - sig[:-1]):
         norm1 = np.bincount(h.indices, weights=np.abs(h.data),
@@ -403,16 +411,29 @@ def _segments(dh: DrivenHamiltonian, times: np.ndarray, sig: np.ndarray):
         yield h, max(1, math.ceil(norm1 / TRANSPORT_SUBSTEP_NORM))
 
 
-def _geometric_product(dh: DrivenHamiltonian, times: np.ndarray,
-                       initial: np.ndarray | None = None):
-    """Ordered product over parameter increments; returns (U, phase).
+def _transport_phases(dh: DrivenHamiltonian, times: np.ndarray,
+                      psi0: np.ndarray) -> np.ndarray:
+    """Unwrapped arg<psi0|psi_j> of ``psi0`` carried through the
+    transport segments over ``times``: the geometric phase at each time,
+    zero throughout on a constant path."""
+    if dh.path.is_constant():
+        return np.zeros(len(times))
+    psi, args = psi0, [0.0]
+    for h, substeps in _segments(dh, times):
+        for _ in range(substeps):
+            psi = _taylor_apply(h, psi, 1.0 / substeps, STATE_TAYLOR_TOL)
+        args.append(np.angle(np.vdot(psi0, psi)))
+    return np.unwrap(args)
 
-    The phase is the unwrapped angle of ``initial`` under the segment
-    factors (None without it).  A commuting family telescopes to one
-    exponential; its angle on ``initial`` gains the full turns counted
-    on ``initial`` carried through the segments.
+
+def _geometric_product(dh: DrivenHamiltonian, times: np.ndarray):
+    """Ordered product U_geo of the transport segments over ``times``.
+
+    A constant path has zero increments, so U_geo is the identity; a
+    commuting family telescopes to one exponential.
     """
-    sig = dh.path.values(times)
+    if dh.path.is_constant():
+        return np.eye(dh.grid.size, dtype=complex)
     qvars = {f"q{k}" for k in range(1, dh.grid.dim + 1)}
     abelian = dh._coupling_free <= qvars and (
         dh.bundle.n_parameters == 1
@@ -420,35 +441,19 @@ def _geometric_product(dh: DrivenHamiltonian, times: np.ndarray,
                for c in row))
     if abelian:
         # One commuting family: the increments telescope exactly.
+        sig = dh.path.values(times[[0, -1]])
         op = dh.geometric_quantizer.operator(float(times[0]), sig[0],
-                                             sig[-1] - sig[0])
-        u, _ = _step_unitary(op.matrix, 1.0)
-        if initial is None:
-            return u, None
-        phase = float(np.angle(np.vdot(initial, u @ initial)))
-        psi, args = initial, [0.0]
-        for h, substeps in _segments(dh, times, sig):
-            for _ in range(substeps):
-                psi = _taylor_apply(h, psi, 1.0 / substeps,
-                                    TRANSPORT_TAYLOR_TOL)
-            args.append(np.angle(np.vdot(initial, psi)))
-        turns = round((phase - np.unwrap(args)[-1]) / (2.0 * np.pi))
-        return u, phase - 2.0 * np.pi * turns
+                                             sig[1] - sig[0])
+        return _step_unitary(op.matrix, 1.0)[0]
 
     # each small increment acts on the running product, so no segment
-    # exponential is formed; the tracked state is read off the product
+    # exponential is formed
     u = np.eye(dh.grid.size, dtype=complex)
-    prev = initial
-    phase = 0.0
-    for h, substeps in _segments(dh, times, sig):
+    for h, substeps in _segments(dh, times):
         _gated_dense(h)
         for _ in range(substeps):
             u = _taylor_apply(h, u, 1.0 / substeps, TRANSPORT_TAYLOR_TOL)
-        if initial is not None:
-            psi = u @ initial
-            phase += float(np.angle(np.vdot(prev, psi)))
-            prev = psi
-    return u, (phase if initial is not None else None)
+    return u
 
 
 def geometric_factor(dh: DrivenHamiltonian, t_end: float | None = None,
@@ -462,14 +467,14 @@ def geometric_factor(dh: DrivenHamiltonian, t_end: float | None = None,
     curve enters.  When every coupling component is parameter-free and
     the family commutes (single parameter, or constant components) the
     increments telescope and a single exponential is taken; the two
-    forms agree exactly for a commuting family.
+    forms agree exactly for a commuting family.  A constant path gives
+    the identity.
     """
     if segments < 1:
         raise ValueError("segments must be at least 1")
     t0, t1 = _resolve_span(dh, t_start, t_end)
     times = np.linspace(t0, t1, segments + 1)
-    u, _ = _geometric_product(dh, times)
-    return LinearOperator(dh.grid, u)
+    return LinearOperator(dh.grid, _geometric_product(dh, times))
 
 
 def split_evolution(dh: DrivenHamiltonian, full: EvolutionResult):
@@ -562,14 +567,15 @@ def propagate_state(dh: DrivenHamiltonian, initial: WaveSection, steps: int,
                     with_geometric: bool = True) -> StateTrajectory:
     """Propagate a state at fine step counts without per-step eigh.
 
-    Each step takes the geometric generator G(t_mid) and the full
-    generator G + H'(t_mid), with the entries the dense pass assembles,
-    and applies exp(-i dt H) by an adaptive Taylor series of
-    matrix-vector products.  The generators are filled in blocks of
-    steps (``_rows``); a static window is one row.  A
-    companion state carrying only G is propagated alongside
-    (``with_geometric``) so the per-time geometric phase column comes
-    out unwrapped.
+    Each step takes the full generator G + H'(t_mid), with the entries
+    the dense pass assembles, and applies exp(-i dt H) by an adaptive
+    Taylor series of matrix-vector products.  The generators are filled
+    in blocks of steps (``_rows``); a static window is one row.  The
+    total phase column is the unwrapped angle of the state on the
+    initial one; the geometric column (``with_geometric``) is that of
+    the initial state carried through the transport segments over the
+    same times (``_transport_phases``), as the dense pass's coarse
+    value is.
     """
     if initial.grid != dh.grid:
         raise ValueError("initial state lives on a different grid")
@@ -582,14 +588,11 @@ def propagate_state(dh: DrivenHamiltonian, initial: WaveSection, steps: int,
     n, m = grid.dim, dh.bundle.n_parameters
     psi0 = initial.values.copy()
     psi = psi0.copy()
-    phi = psi0.copy() if with_geometric else None
 
     # a static window is one row of generator data for every step
     static = _is_static(dh)
-    window = np.array([t0, t1]) if static else times
-    gens = zip(_path_rows(dh.full_quantizer, dh, window),
-               (_path_rows(dh.geometric_quantizer, dh, window)
-                if with_geometric else itertools.repeat(None)))
+    gens = _path_rows(dh.full_quantizer, dh,
+                      np.array([t0, t1]) if static else times)
     if static:
         gens = itertools.repeat(next(gens), steps)
 
@@ -598,15 +601,7 @@ def propagate_state(dh: DrivenHamiltonian, initial: WaveSection, steps: int,
         records.append(steps)
     rec_idx = set(records)
     rows = {name: [] for name in ("pos", "mom", "norm")}
-    # unwrapped lift of t -> arg<psi0|psi(t)>, stepped so each increment
-    # stays in (-pi, pi]
-    args_total = [0.0]
-    args_geo = [0.0]
-
-    def lifted(running, prev_arg, vec):
-        arg = float(np.angle(np.vdot(psi0, vec)))
-        jump = np.angle(np.exp(1j * (arg - prev_arg)))
-        return running + float(jump), arg
+    args = [0.0]
 
     def record(j):
         ws = WaveSection(grid, psi, float(times[j]))
@@ -615,16 +610,9 @@ def propagate_state(dh: DrivenHamiltonian, initial: WaveSection, steps: int,
         rows["norm"].append(ws.norm() / initial.norm())
 
     record(0)
-    arg_psi = 0.0
-    arg_phi = 0.0
-    for j, (h_full, h_geo) in enumerate(gens):
-        psi = _taylor_apply(h_full, psi, dt, STATE_TAYLOR_TOL)
-        total, arg_psi = lifted(args_total[-1], arg_psi, psi)
-        args_total.append(total)
-        if phi is not None:
-            phi = _taylor_apply(h_geo, phi, dt, STATE_TAYLOR_TOL)
-            geo, arg_phi = lifted(args_geo[-1], arg_phi, phi)
-            args_geo.append(geo)
+    for j, h in enumerate(gens):
+        psi = _taylor_apply(h, psi, dt, STATE_TAYLOR_TOL)
+        args.append(np.angle(np.vdot(psi0, psi)))
         if (j + 1) in rec_idx:
             record(j + 1)
 
@@ -638,8 +626,8 @@ def propagate_state(dh: DrivenHamiltonian, initial: WaveSection, steps: int,
         positions=np.asarray(rows["pos"]).reshape(len(records), n),
         momenta=np.asarray(rows["mom"]).reshape(len(records), n),
         norms=np.asarray(rows["norm"]),
-        phase_total=np.asarray(args_total)[sel],
-        phase_geometric=(np.asarray(args_geo)[sel]
+        phase_total=np.unwrap(args)[sel],
+        phase_geometric=(_transport_phases(dh, times, psi0)[sel]
                          if with_geometric else None),
         final_state=final,
     )

@@ -6,20 +6,20 @@ import pytest
 from leafquant.bundle import (
     BundleModel,
     ParameterPath,
-    composite_connection,
     connection_curvature,
     curvature_is_flat,
-    gamma_from_path,
     leafwise_differential,
     prequant_curvature_check,
     reparametrize_path,
 )
+from leafquant.evolution import DrivenHamiltonian
 from leafquant.expressions import Const, Var, parse_expr
 from leafquant.observables import (
     PolynomialObservable,
     hamiltonian_vector_field,
     poisson_bracket,
 )
+from leafquant.operators import FiberGrid
 
 P = PolynomialObservable
 TWO_PI = 2.0 * np.pi
@@ -78,30 +78,17 @@ def test_sampled_path_needs_four_knots():
         ParameterPath.from_samples([0.0, 0.5, 1.0], [[0.0], [1.0], [2.0]])
 
 
-def test_gamma_tracks_the_path_velocity():
-    path = circle_path()
-    gamma = gamma_from_path(path)
-    for t in (0.0, 1.0, 2.5):
-        np.testing.assert_allclose(gamma.evaluate(t), path.velocity(t),
-                                   atol=1e-15)
-        # constant across the parameter leaf by construction
-        np.testing.assert_allclose(gamma.evaluate(t, sigma=[5.0, -3.0]),
-                                   gamma.evaluate(t), atol=0)
-    assert gamma.components is not None
-    assert gamma.sigma_independent
-
-
-def test_composite_connection_combines_drifts():
+def test_driven_hamiltonian_combines_drifts():
     bundle = BundleModel(2, 1, ((Const(1.0), Var("q1")),),
                          (parse_expr("sin(t)", ["t"]),))
-    gamma = (Const(0.5), Const(2.0))
-    comp = composite_connection(gamma, bundle)
-    assert comp.parameter_rates == gamma
-    # 0.5 * 1 + 2 * q1 + sin(t)
-    got = comp.fiber_rates[0]
+    dh = DrivenHamiltonian(bundle, circle_path(), PolynomialObservable(1, {}),
+                           FiberGrid((16,), (3.0,)))
+    # the coefficient of p1 in H* at rates (0.5, 2): 0.5 * 1 + 2 * q1 + sin(t)
+    got = dh.star.terms[(1,)]
     for q in (-1.0, 0.3, 2.0):
         want = np.sin(0.7) + 0.5 + 2.0 * q
-        assert got.evaluate({"t": 0.7, "q1": q}) == pytest.approx(want, 1e-14)
+        assert got.evaluate({"t": 0.7, "q1": q, "v1": 0.5, "v2": 2.0}) \
+            == pytest.approx(want, 1e-14)
 
 
 def test_curvature_flat_for_fiber_independent_coupling():
