@@ -16,8 +16,6 @@ from .expressions import (  # noqa: F401
     UnboundVariableError,
     EvaluationError,
     parse_expr,
-    diff,
-    evaluate,
 )
 from .observables import (  # noqa: F401
     PolynomialObservable,
@@ -29,7 +27,6 @@ from .observables import (  # noqa: F401
 from .bundle import (  # noqa: F401
     BundleModel,
     ParameterPath,
-    connection_curvature,
     prequant_curvature_check,
     reparametrize_path,
 )

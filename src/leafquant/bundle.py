@@ -5,10 +5,9 @@ n-dimensional fiber of mechanical coordinates.  The coupling data are
 the parameter-direction drift fields (n by m expressions in t, s, q),
 an optional pure-time drift, and a path t -> sigma(t) through the
 parameters (``DrivenHamiltonian`` composes the drift entering the
-driven Hamiltonian from them).  From these the module derives the
-curvature that detects non-flat coupling, leafwise
-differentials of observables, and the symbolic curvature check behind
-the quantization rule.
+driven Hamiltonian from them).  The module also reparametrizes a path
+on a new clock and carries the symbolic curvature check behind the
+quantization rule.
 """
 
 from __future__ import annotations
@@ -17,18 +16,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .expressions import Const, Expression, Var
-from .observables import HamiltonianVectorField, PolynomialObservable
 
 __all__ = [
     "BundleModel",
     "ParameterPath",
-    "LeafwiseOneForm",
     "PrequantReport",
-    "connection_curvature",
-    "leafwise_differential",
     "prequant_curvature_check",
     "reparametrize_path",
 ]
@@ -88,12 +82,22 @@ class BundleModel:
                 + [f"q{i}" for i in range(1, self.n_fiber + 1)])
 
 
+def _sampler(trees: tuple[Expression, ...]):
+    """Vectorized sampler of component trees: shape ts.shape + (m,)."""
+    def sample(ts):
+        shape = np.shape(ts)
+        return np.stack([np.broadcast_to(np.asarray(c.evaluate({"t": ts})),
+                                         shape) for c in trees], axis=-1)
+    return sample
+
+
 class ParameterPath:
     """A time-parametrized curve through the classical parameters.
 
     Built either from closed-form component expressions in ``t`` or from
     sampled knots (cubic spline).  ``closed`` asserts the endpoints
-    coincide to within 1e-12 per component.
+    coincide to within 1e-12 per component.  Either way the path keeps
+    one value sampler and one rate sampler, both vectorized over t.
     """
 
     def __init__(self, *, components=None, times=None, values=None,
@@ -110,10 +114,16 @@ class ParameterPath:
             if span is None or span[1] <= span[0]:
                 raise ValueError("closed-form path needs a span (t0, t1)")
             self.components = comps
-            self._velocity_trees = tuple(c.diff("t") for c in comps)
             self.span = (float(span[0]), float(span[1]))
-            self._spline = None
-            self._dspline = None
+            self.n_parameters = len(comps)
+            self._value = _sampler(comps)
+            self._rate = _sampler(tuple(c.diff("t") for c in comps))
+            if self.closed:
+                gap = np.abs(self.value(self.span[1])
+                             - self.value(self.span[0])).max()
+                if gap > CLOSURE_TOL:
+                    raise ValueError(
+                        f"closed path endpoints differ by {gap:.3e}")
         else:
             times = np.asarray(times, dtype=float)
             values = np.asarray(values, dtype=float)
@@ -128,6 +138,7 @@ class ParameterPath:
                 raise ValueError("sample times must be strictly increasing")
             self.components = None
             self.span = (float(times[0]), float(times[-1]))
+            self.n_parameters = values.shape[1]
             if self.closed:
                 gap = np.abs(values[-1] - values[0]).max()
                 if gap > CLOSURE_TOL:
@@ -135,18 +146,14 @@ class ParameterPath:
                         f"closed path endpoints differ by {gap:.3e}")
                 values = values.copy()
                 values[-1] = values[0]
-                self._spline = CubicSpline(times, values, axis=0,
-                                           bc_type="periodic")
-            else:
-                self._spline = CubicSpline(times, values, axis=0)
+            # scipy.interpolate is slow to import; only a sampled path
+            # pays for it
+            from scipy.interpolate import CubicSpline
+            spline = CubicSpline(times, values, axis=0, bc_type=(
+                "periodic" if self.closed else "not-a-knot"))
             self._knots = values.copy()
-            self._dspline = self._spline.derivative()
-            self._velocity_trees = None
-        if self.closed and self.components is not None:
-            gap = np.abs(self.value(self.span[1]) - self.value(self.span[0]))
-            if gap.max() > CLOSURE_TOL:
-                raise ValueError(
-                    f"closed path endpoints differ by {gap.max():.3e}")
+            self._value = spline
+            self._rate = spline.derivative()
 
     @classmethod
     def from_expressions(cls, components: Sequence[Expression],
@@ -157,12 +164,6 @@ class ParameterPath:
     def from_samples(cls, times, values, closed=False) -> "ParameterPath":
         return cls(times=times, values=values, closed=closed)
 
-    @property
-    def n_parameters(self) -> int:
-        if self.components is not None:
-            return len(self.components)
-        return np.atleast_1d(self._spline(self.span[0])).shape[0]
-
     def is_constant(self) -> bool:
         """True when the curve is one point: no component depends on
         ``t``, or every sampled knot row is the same."""
@@ -171,99 +172,17 @@ class ParameterPath:
         return bool(np.all(self._knots == self._knots[0]))
 
     def value(self, t: float) -> np.ndarray:
-        if self.components is not None:
-            return np.array([c.evaluate({"t": t}) for c in self.components])
-        return np.asarray(self._spline(t), dtype=float)
+        return self._value(t)
 
     def velocity(self, t: float) -> np.ndarray:
-        if self._velocity_trees is not None:
-            return np.array([c.evaluate({"t": t})
-                             for c in self._velocity_trees])
-        return np.asarray(self._dspline(t), dtype=float)
+        return self._rate(t)
 
     def values(self, ts: np.ndarray) -> np.ndarray:
         """Vectorized value; returns shape (len(ts), m)."""
-        ts = np.asarray(ts, dtype=float)
-        if self.components is not None:
-            cols = [np.broadcast_to(np.asarray(c.evaluate({"t": ts})), ts.shape)
-                    for c in self.components]
-            return np.stack(cols, axis=-1)
-        return np.asarray(self._spline(ts), dtype=float)
+        return self._value(np.asarray(ts, dtype=float))
 
     def velocities(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        if self._velocity_trees is not None:
-            cols = [np.broadcast_to(np.asarray(c.evaluate({"t": ts})), ts.shape)
-                    for c in self._velocity_trees]
-            return np.stack(cols, axis=-1)
-        return np.asarray(self._dspline(ts), dtype=float)
-
-
-def connection_curvature(bundle: BundleModel):
-    """Curvature of the parameter coupling; zero iff transport is flat.
-
-    Component [k][lam][mu] is
-    d_lam L^k_mu - d_mu L^k_lam + L^j_lam d_j L^k_mu - L^j_mu d_j L^k_lam
-    with d_lam the parameter and d_j the fiber derivatives.
-    """
-    m, n = bundle.n_parameters, bundle.n_fiber
-    lam_of = bundle.sigma_coupling
-    out = []
-    for k in range(n):
-        rows = []
-        for lam in range(m):
-            cols = []
-            for mu in range(m):
-                f = lam_of[k][mu].diff(f"s{lam + 1}") \
-                    - lam_of[k][lam].diff(f"s{mu + 1}")
-                for j in range(n):
-                    f = f + lam_of[j][lam] * lam_of[k][mu].diff(f"q{j + 1}")
-                    f = f - lam_of[j][mu] * lam_of[k][lam].diff(f"q{j + 1}")
-                cols.append(f)
-            rows.append(tuple(cols))
-        out.append(tuple(rows))
-    return tuple(out)
-
-
-def curvature_is_flat(bundle: BundleModel, rng=None, samples: int = 64,
-                      box: float = 3.0, tol: float = 1e-12) -> bool:
-    """Numerically probe all curvature components on random points."""
-    rng = np.random.default_rng(0) if rng is None else rng
-    fields = [c for rows in connection_curvature(bundle) for row in rows
-              for c in row]
-    names = bundle.variables()
-    for _ in range(samples):
-        binding = {v: float(rng.uniform(-box, box)) for v in names}
-        for f in fields:
-            if abs(f.evaluate(binding)) > tol:
-                return False
-    return True
-
-
-@dataclass(frozen=True)
-class LeafwiseOneForm:
-    """Fiberwise differential of an observable: 2n components.
-
-    ``dq[k]`` multiplies the k-th coordinate direction and ``dp[k]`` the
-    k-th momentum direction.
-    """
-
-    dq: tuple[PolynomialObservable, ...]
-    dp: tuple[PolynomialObservable, ...]
-
-    def pair(self, field: HamiltonianVectorField) -> PolynomialObservable:
-        """Contract with a fiberwise vector field."""
-        out = PolynomialObservable.zero(len(self.dq))
-        for k in range(len(self.dq)):
-            out = out + self.dq[k] * field.dq[k]
-            out = out + self.dp[k] * field.dp[k]
-        return out
-
-
-def leafwise_differential(f: PolynomialObservable) -> LeafwiseOneForm:
-    dq = tuple(f.partial_q(k) for k in range(1, f.dim + 1))
-    dp = tuple(f.partial_p(k) for k in range(1, f.dim + 1))
-    return LeafwiseOneForm(dq, dp)
+        return self._rate(np.asarray(ts, dtype=float))
 
 
 @dataclass(frozen=True)

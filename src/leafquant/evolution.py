@@ -56,7 +56,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .bundle import BundleModel, ParameterPath, reparametrize_path
+from .bundle import BundleModel, ParameterPath
 from .expressions import Const, EvaluationError, Var
 from .observables import (
     BumpCover,
@@ -92,7 +92,6 @@ __all__ = [
     "propagate_state",
     "heisenberg_derivative",
     "classical_hamilton_flow",
-    "reparametrize_path",
 ]
 
 _ZERO = Const(0.0)

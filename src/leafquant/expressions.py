@@ -46,9 +46,6 @@ __all__ = [
     "UnboundVariableError",
     "EvaluationError",
     "parse_expr",
-    "diff",
-    "evaluate",
-    "simplify",
 ]
 
 Number = Union[int, float]
@@ -192,9 +189,6 @@ class Expression:
 
     def _src(self, parent_prec: int) -> str:
         raise NotImplementedError
-
-    def __call__(self, **binding):
-        return self.evaluate(binding)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.to_source()!r})"
@@ -376,10 +370,10 @@ class Pow(Expression):
                    self.base.diff(var))
 
     def _eval(self, binding):
-        base = self.base._eval(binding)
-        if isinstance(base, np.ndarray):
-            return base ** self.exponent
-        return np.float64(base) ** self.exponent
+        # one numeric route for scalar and array bases, so a scalar read
+        # agrees to the bit with the same point of a vectorized one
+        base = np.asarray(self.base._eval(binding), dtype=float)
+        return base ** self.exponent
 
     def substitute(self, mapping):
         return pow_int(self.base.substitute(mapping), self.exponent)
@@ -656,11 +650,6 @@ def root_of(arg: Expression, index: int) -> Expression:
     return Root(arg, int(index))
 
 
-def simplify(e: Expression) -> Expression:
-    """Re-run the smart constructors over the whole tree."""
-    return e.substitute({})
-
-
 # -- parser --------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
@@ -859,10 +848,3 @@ def parse_expr(source: str, allowed_vars: Iterable[str] | None = None) -> Expres
     """
     return _Parser(source, allowed_vars).parse()
 
-
-def diff(e: Expression, var: str) -> Expression:
-    return e.diff(var)
-
-
-def evaluate(e: Expression, binding: Mapping[str, Number | np.ndarray]):
-    return e.evaluate(binding)

@@ -13,7 +13,6 @@ quantization rule accepts).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -31,12 +30,9 @@ __all__ = [
     "HamiltonianVectorField",
     "BumpCover",
     "AffineFactorization",
-    "ExtendedObservable",
     "poisson_bracket",
     "hamiltonian_vector_field",
-    "is_affine",
     "decompose_polynomial",
-    "lift_to_extended",
 ]
 
 _ZERO = Const(0.0)
@@ -280,10 +276,6 @@ def hamiltonian_vector_field(f: PolynomialObservable) -> HamiltonianVectorField:
     return HamiltonianVectorField(f, dq, dp)
 
 
-def is_affine(f: PolynomialObservable) -> bool:
-    return f.is_affine()
-
-
 class CoverageError(ValueError):
     """A bump cover fails to cover a requested point."""
 
@@ -422,63 +414,3 @@ def decompose_polynomial(f: PolynomialObservable,
                         for i in idx[1:]]
                 groups.append((first, *rest))
     return AffineFactorization(f, tuple(groups))
-
-
-@dataclass(frozen=True)
-class ExtendedObservable:
-    """Observable on the time-extended phase space.
-
-    The admissible shape is  a(t, s) P + a^lam(t, s) P_lam + base  where
-    P, P_lam are the momenta conjugate to time and to the parameters and
-    ``base`` is momentum-affine on the fiber.  Coefficients of P and
-    P_lam must not touch the fiber coordinates.
-    """
-
-    time_coeff: Expression
-    parameter_coeffs: tuple[Expression, ...]
-    base: PolynomialObservable
-
-    def __post_init__(self):
-        object.__setattr__(self, "time_coeff", _as_coeff(self.time_coeff))
-        object.__setattr__(self, "parameter_coeffs",
-                           tuple(_as_coeff(c) for c in self.parameter_coeffs))
-        if not self.base.is_affine():
-            raise ValueError("base part must be affine in the fiber momenta")
-        fiber_vars = {f"q{k}" for k in range(1, self.base.dim + 1)}
-        for coeff in (self.time_coeff, *self.parameter_coeffs):
-            hit = coeff.free_variables() & fiber_vars
-            if hit:
-                raise ValueError(
-                    f"coefficient '{coeff.to_source()}' may not depend on "
-                    f"fiber coordinate {sorted(hit)[0]}")
-
-    @classmethod
-    def hamiltonian_star(cls, h: PolynomialObservable,
-                         n_parameters: int) -> "ExtendedObservable":
-        """The conserved companion of a driven Hamiltonian: P + h."""
-        return cls(_ONE, tuple([_ZERO] * n_parameters), h)
-
-    def contract(self, time_rate: float,
-                 parameter_rates: Sequence[float]) -> PolynomialObservable:
-        """Insert numeric rates for the extended momenta."""
-        if len(parameter_rates) != len(self.parameter_coeffs):
-            raise ValueError("rate arity mismatch")
-        total = self.base
-        extra: Expression = self.time_coeff * float(time_rate)
-        for c, r in zip(self.parameter_coeffs, parameter_rates):
-            extra = extra + c * float(r)
-        return total + PolynomialObservable.constant(extra, self.base.dim)
-
-
-def lift_to_extended(base: PolynomialObservable,
-                     time_coeff=0.0,
-                     parameter_coeffs: Sequence = ()) -> ExtendedObservable:
-    """Place an affine fiber observable into the extended algebra."""
-    return ExtendedObservable(_as_coeff(time_coeff),
-                              tuple(_as_coeff(c) for c in parameter_coeffs),
-                              base)
-
-
-def monomial_basis(dim: int, degree: int) -> list[tuple[int, ...]]:
-    """All sorted momentum multi-indices of exactly the given degree."""
-    return list(combinations_with_replacement(range(1, dim + 1), degree))

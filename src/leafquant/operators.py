@@ -22,7 +22,7 @@ without any grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import permutations
 from operator import matmul
@@ -210,10 +210,6 @@ class LinearOperator:
             raise ValueError("matrix shape does not match the grid")
         self.grid = grid
         self.matrix = matrix
-
-    @classmethod
-    def identity(cls, grid: FiberGrid) -> "LinearOperator":
-        return cls(grid, np.eye(grid.size, dtype=complex))
 
     def dense(self) -> np.ndarray:
         """The matrix as an ndarray (the stored one when already dense)."""

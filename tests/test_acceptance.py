@@ -10,14 +10,13 @@ import tempfile
 import time
 
 import numpy as np
-import pytest
 
 from conftest import record_acceptance
 from leafquant.bundle import BundleModel, ParameterPath, \
     prequant_curvature_check
 from leafquant.evolution import DrivenHamiltonian, evolve_time_ordered, \
     geometric_factor, split_evolution
-from leafquant.expressions import Const, Var, parse_expr
+from leafquant.expressions import Const, Var
 from leafquant.observables import PolynomialObservable
 from leafquant.operators import FiberGrid
 from leafquant.runner import run

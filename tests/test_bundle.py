@@ -1,4 +1,4 @@
-"""Tests for paths, connections, curvature and the quantization check."""
+"""Tests for the bundle model, paths and the quantization check."""
 
 import numpy as np
 import pytest
@@ -6,22 +6,14 @@ import pytest
 from leafquant.bundle import (
     BundleModel,
     ParameterPath,
-    connection_curvature,
-    curvature_is_flat,
-    leafwise_differential,
     prequant_curvature_check,
     reparametrize_path,
 )
 from leafquant.evolution import DrivenHamiltonian
 from leafquant.expressions import Const, Var, parse_expr
-from leafquant.observables import (
-    PolynomialObservable,
-    hamiltonian_vector_field,
-    poisson_bracket,
-)
+from leafquant.observables import PolynomialObservable
 from leafquant.operators import FiberGrid
 
-P = PolynomialObservable
 TWO_PI = 2.0 * np.pi
 
 
@@ -29,11 +21,6 @@ def circle_path(radius=1.0, closed=True):
     c = [parse_expr(f"{radius}*cos(t)", ["t"]),
          parse_expr(f"{radius}*sin(t)", ["t"])]
     return ParameterPath.from_expressions(c, (0.0, TWO_PI), closed=closed)
-
-
-def nonabelian_bundle():
-    # coupling 1 and q1 in the two parameter directions, unit curvature
-    return BundleModel(2, 1, ((Const(1.0), Var("q1")),))
 
 
 def test_bundle_validation():
@@ -89,72 +76,6 @@ def test_driven_hamiltonian_combines_drifts():
         want = np.sin(0.7) + 0.5 + 2.0 * q
         assert got.evaluate({"t": 0.7, "q1": q, "v1": 0.5, "v2": 2.0}) \
             == pytest.approx(want, 1e-14)
-
-
-def test_curvature_flat_for_fiber_independent_coupling():
-    bundle = BundleModel(2, 1, ((parse_expr("s1", ["s1"]), Const(0.7)),))
-    assert curvature_is_flat(bundle)
-
-
-def test_curvature_of_shearing_coupling_is_one():
-    f = connection_curvature(nonabelian_bundle())
-    assert f[0][0][1] == Const(1.0)
-    assert f[0][1][0] == Const(-1.0)
-    assert f[0][0][0] == Const(0.0)
-    assert not curvature_is_flat(nonabelian_bundle())
-
-
-def test_curvature_antisymmetry_numerically():
-    rng = np.random.default_rng(8)
-    bundle = BundleModel(
-        2, 2,
-        ((parse_expr("sin(s1)*q2", None), parse_expr("q1*q2", None)),
-         (parse_expr("s2 + q1", None), parse_expr("cos(q2)", None))))
-    f = connection_curvature(bundle)
-    for _ in range(20):
-        binding = {v: float(rng.uniform(-2, 2)) for v in bundle.variables()}
-        for k in range(2):
-            for lam in range(2):
-                for mu in range(2):
-                    a = f[k][lam][mu].evaluate(binding)
-                    b = f[k][mu][lam].evaluate(binding)
-                    assert a == pytest.approx(-b, abs=1e-12)
-
-
-def test_leafwise_differential_components_and_pairing():
-    f = P.momentum(1, 2) * P.momentum(1, 2) + P.constant(Var("q2"), 2)
-    form = leafwise_differential(f)
-    assert len(form.dq) == 2 and len(form.dp) == 2
-    assert form.dp[0] == 2.0 * P.momentum(1, 2)
-    assert form.dq[1] == P.constant(1.0, 2)
-    # pairing with a field reproduces the bracket of the generator
-    rng = np.random.default_rng(2)
-    g = P(2, {(1, 2): Const(0.3), (): Var("q1")})
-    paired = form.pair(hamiltonian_vector_field(g))
-    pb = poisson_bracket(g, f)
-    for _ in range(10):
-        q = rng.uniform(-1, 1, 2)
-        p = rng.uniform(-1, 1, 2)
-        assert paired.evaluate(0.0, (), q, p) == pytest.approx(
-            pb.evaluate(0.0, (), q, p), abs=1e-12)
-
-
-def test_leafwise_differential_is_a_derivation():
-    rng = np.random.default_rng(4)
-    f = P(1, {(1,): parse_expr("sin(q1)", None), (): Const(2.0)})
-    g = P(1, {(1, 1): Const(0.5), (): Var("q1")})
-    lhs = leafwise_differential(f * g)
-    rhs_dq = f * leafwise_differential(g).dq[0] \
-        + g * leafwise_differential(f).dq[0]
-    rhs_dp = f * leafwise_differential(g).dp[0] \
-        + g * leafwise_differential(f).dp[0]
-    for _ in range(10):
-        q = rng.uniform(-1, 1, 1)
-        p = rng.uniform(-1, 1, 1)
-        assert lhs.dq[0].evaluate(0, (), q, p) == pytest.approx(
-            rhs_dq.evaluate(0, (), q, p), abs=1e-12)
-        assert lhs.dp[0].evaluate(0, (), q, p) == pytest.approx(
-            rhs_dp.evaluate(0, (), q, p), abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2])

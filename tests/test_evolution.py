@@ -4,14 +4,13 @@ import scipy.linalg
 from hypothesis import example, given, strategies as st
 
 from leafquant import evolution, operators, runner
-from leafquant.bundle import BundleModel, ParameterPath
+from leafquant.bundle import BundleModel, ParameterPath, reparametrize_path
 from leafquant.expressions import Const, Var, parse_expr
 from leafquant.observables import PolynomialObservable
 from leafquant.operators import (
     FiberGrid,
     WaveSection,
     derivative_matrix,
-    expectation_value,
     inner_product,
     quantize_affine,
     quantize_affine_literal,
@@ -27,7 +26,6 @@ from leafquant.evolution import (
     geometric_generator,
     heisenberg_derivative,
     propagate_state,
-    reparametrize_path,
     split_evolution,
 )
 from leafquant.scenarios import parse_scenario

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
 from leafquant import expressions as ex
 from leafquant.expressions import (
@@ -168,6 +169,36 @@ def test_vectorized_evaluation_matches_scalar():
     scal = np.array([tree.evaluate({v: xs[j, i] for i, v in enumerate(VARS)})
                      for j in range(len(xs))])
     np.testing.assert_allclose(vec, scal, rtol=1e-14, atol=1e-300)
+
+
+def _power(pair):
+    base, n = pair
+    # a negative power of a base kept off zero stays finite
+    return (base if n >= 0 else base * base + 0.5) ** n
+
+
+TREES_IN_T = st.recursive(
+    st.one_of(st.just(Var("t")),
+              st.floats(-2.0, 2.0).map(lambda v: Const(round(v, 3)))),
+    lambda sub: st.one_of(
+        st.tuples(sub, sub).map(lambda ab: ab[0] + ab[1]),
+        st.tuples(sub, sub).map(lambda ab: ab[0] * ab[1]),
+        st.tuples(st.sampled_from(["sin", "cos", "tanh"]), sub).map(
+            lambda fa: ex.Call(*fa)),
+        st.tuples(sub, st.integers(-3, 5)).map(_power)),
+    max_leaves=6)
+
+
+@example(tree=Var("t") ** 3, ts=[0.01])
+@given(tree=TREES_IN_T,
+       ts=st.lists(st.floats(0.0, 6.28), min_size=1, max_size=16))
+def test_scalar_evaluation_equals_vectorized_to_the_bit(tree, ts):
+    try:
+        vec = tree.evaluate({"t": np.array(ts)})
+    except EvaluationError:
+        assume(False)
+    scal = np.array([tree.evaluate({"t": t}) for t in ts])
+    np.testing.assert_array_equal(scal, np.broadcast_to(vec, scal.shape))
 
 
 def test_bump_profile():
