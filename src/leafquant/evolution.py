@@ -10,20 +10,20 @@ the frozen-parameter Hamiltonian H' (H plus the frame drift) and their
 sum H*.  Each is quantized by one ``operators.Quantizer``, built once on
 first use, and everything else binds numbers into these:
 
-- G(t) and H'(t) are fills at (t, sigma(t), sigma'(t)); the full
-  generator G + H' is one fill of H*.
-- A transport segment (``_segments``, the one route that fills G for
-  stepping) fills G at its midpoint with the rates bound to the
-  parameter increment, v = delta sigma.  Only the traced image curve
-  enters, so invariance under monotone reparametrization is
-  structural; a commuting family telescopes to v = sigma(t1) - sigma(t0).
+- The pointwise generators G(t), H'(t) and G + H' (one fill of H*)
+  bind (t, sigma(t), sigma'(t)).
+- Every step, transport segment and commutator sample of a window
+  binds through ``_steps``: the step midpoint t, the mean s of sigma
+  at the step's ends and v = delta sigma / dt.  G is linear in v, so
+  dt G(v) = G(delta sigma): only the traced image enters the
+  transport, a commuting family telescopes, and a step of H* carries
+  exactly its segment's increment, so a commuting split closes.
 - The classical flow is the Hamiltonian vector field of H*.
 
-Every loop over times takes its generators from ``_rows``: the path is
-read at all its times at once, the quantizer fills blocks of at most
-``BLOCK_BYTES`` of complex entries, and each step, segment or sample
-points one reused CSR array at its row.  The classical flow reads the
-path at all its RK4 stage times at once.
+``_steps`` reads the path once per call, at a window's times;
+``_rows`` fills blocks of at most ``BLOCK_BYTES`` of complex entries
+and points one reused CSR array at each row.  The classical flow reads the path at all its RK4
+stage times at once.
 
 The dense pass forms U and the transport product U_geo once per window;
 the split reads both and forms only U_dyn.  U and U_dyn are products of
@@ -319,13 +319,12 @@ def _step_unitary(h: sp.csr_array, dt: float):
 
 def _step_product(q: Quantizer, dh: DrivenHamiltonian, times: np.ndarray,
                   static: bool, psi: np.ndarray | None = None):
-    """Midpoint-ordered product of exact step exponentials of q's fills,
-    a static window's one taken to the power: (U, worst hermiticity
-    defect, ``psi`` carried along, its overlaps with ``psi`` per step)."""
+    """Ordered product of exact step exponentials of q's ``_steps``
+    rows, a static window's first taken to the power: (U, worst defect,
+    ``psi`` carried along, its overlaps with ``psi`` per step)."""
     steps = len(times) - 1
-    dt = (times[-1] - times[0]) / steps
-    factors = (_step_unitary(h, dt)
-               for h in _path_rows(q, dh, times[[0, -1]] if static else times))
+    dt, rows = _steps(dh, times[:2] if static else times, q)
+    factors = (_step_unitary(h, dt) for h in rows)
     if static:
         factors = itertools.repeat(next(factors), steps)
     u = np.eye(dh.grid.size, dtype=complex)
@@ -399,15 +398,15 @@ def evolve_time_ordered(dh: DrivenHamiltonian, steps: int,
 
 
 def _segments(dh: DrivenHamiltonian, times: np.ndarray):
-    """Yield each segment's generator, its rates bound to its increment
-    at its midpoint, and the count of equal substeps that keeps their
-    bound ||h||_1 within TRANSPORT_SUBSTEP_NORM."""
-    sig = dh.path.values(times)
-    for h in _rows(dh.geometric_quantizer, 0.5 * (times[1:] + times[:-1]),
-                   0.5 * (sig[1:] + sig[:-1]), sig[1:] - sig[:-1]):
+    """Yield each transport segment's generator G (``_steps``), the
+    Taylor step dt / substeps and the count of equal substeps that keeps
+    their bound dt ||h||_1 within TRANSPORT_SUBSTEP_NORM."""
+    dt, rows = _steps(dh, times, dh.geometric_quantizer)
+    for h in rows:
         norm1 = np.bincount(h.indices, weights=np.abs(h.data),
                             minlength=h.shape[1]).max()
-        yield h, max(1, math.ceil(norm1 / TRANSPORT_SUBSTEP_NORM))
+        substeps = max(1, math.ceil(dt * norm1 / TRANSPORT_SUBSTEP_NORM))
+        yield h, dt / substeps, substeps
 
 
 def _transport_phases(dh: DrivenHamiltonian, times: np.ndarray,
@@ -418,9 +417,9 @@ def _transport_phases(dh: DrivenHamiltonian, times: np.ndarray,
     if dh.path.is_constant():
         return np.zeros(len(times))
     psi, args = psi0, [0.0]
-    for h, substeps in _segments(dh, times):
+    for h, tau, substeps in _segments(dh, times):
         for _ in range(substeps):
-            psi = _taylor_apply(h, psi, 1.0 / substeps, STATE_TAYLOR_TOL)
+            psi = _taylor_apply(h, psi, tau, STATE_TAYLOR_TOL)
         args.append(np.angle(np.vdot(psi0, psi)))
     return np.unwrap(args)
 
@@ -440,18 +439,16 @@ def _geometric_product(dh: DrivenHamiltonian, times: np.ndarray):
                for c in row))
     if abelian:
         # One commuting family: the increments telescope exactly.
-        sig = dh.path.values(times[[0, -1]])
-        op = dh.geometric_quantizer.operator(float(times[0]), sig[0],
-                                             sig[1] - sig[0])
-        return _step_unitary(op.matrix, 1.0)[0]
+        span, rows = _steps(dh, times[[0, -1]], dh.geometric_quantizer)
+        return _step_unitary(next(rows), span)[0]
 
     # each small increment acts on the running product, so no segment
     # exponential is formed
     u = np.eye(dh.grid.size, dtype=complex)
-    for h, substeps in _segments(dh, times):
+    for h, tau, substeps in _segments(dh, times):
         _gated_dense(h)
         for _ in range(substeps):
-            u = _taylor_apply(h, u, 1.0 / substeps, TRANSPORT_TAYLOR_TOL)
+            u = _taylor_apply(h, u, tau, TRANSPORT_TAYLOR_TOL)
     return u
 
 
@@ -460,14 +457,12 @@ def geometric_factor(dh: DrivenHamiltonian, t_end: float | None = None,
                      segments: int = 2048) -> LinearOperator:
     """Parallel-displacement factor along the path image.
 
-    Path-ordered product of exp(-i * increment generator) over uniform
-    clock segments; each generator is the quantized affine observable of
-    the parameter increment at the midpoint, so only the traced image
-    curve enters.  When every coupling component is parameter-free and
-    the family commutes (single parameter, or constant components) the
-    increments telescope and a single exponential is taken; the two
-    forms agree exactly for a commuting family.  A constant path gives
-    the identity.
+    Path-ordered product of exp(-i dt G) over uniform clock segments,
+    G bound by ``_steps`` to the rates delta sigma / dt, so only the
+    traced image curve enters.  When every coupling component is
+    parameter-free and the family commutes (single parameter, or
+    constant components) the increments telescope and a single
+    exponential is taken.  A constant path gives the identity.
     """
     if segments < 1:
         raise ValueError("segments must be at least 1")
@@ -481,9 +476,9 @@ def split_evolution(dh: DrivenHamiltonian, full: EvolutionResult):
 
     ``full`` carries U and U_geo; only U_dyn, the step product of H'
     over the same times, is formed here.  Returns (U_geo, U_dyn,
-    SplitReport): the largest relative commutator norm over
-    SPLIT_SAMPLES times, and the factorization defect, held to
-    SPLIT_TOL when the family commutes.
+    SplitReport): the largest relative commutator norm of G and H' at
+    SPLIT_SAMPLES even steps (``_steps``), and the factorization
+    defect, held to SPLIT_TOL when the family commutes.
     """
     if full.unitary.grid != dh.grid:
         raise ValueError("dense result lives on a different grid")
@@ -491,10 +486,9 @@ def split_evolution(dh: DrivenHamiltonian, full: EvolutionResult):
     u_dyn = _step_product(dh.dynamic_quantizer, dh, times,
                           full.static_collapse)[0]
     comm_max = 0.0
-    ts = np.linspace(times[0], times[-1], SPLIT_SAMPLES)
-    sig, rate = dh.path.values(ts), dh.path.velocities(ts)
-    for g, h in zip(_rows(dh.geometric_quantizer, ts, sig, rate),
-                    _rows(dh.dynamic_quantizer, ts, sig, rate)):
+    ts = np.linspace(times[0], times[-1], SPLIT_SAMPLES + 1)
+    _, geo, dyn = _steps(dh, ts, dh.geometric_quantizer, dh.dynamic_quantizer)
+    for g, h in zip(geo, dyn):
         g, h = LinearOperator(dh.grid, g), LinearOperator(dh.grid, h)
         ng, nh = g.frobenius(), h.frobenius()
         if ng == 0.0 or nh == 0.0:
@@ -531,11 +525,16 @@ def _rows(q: Quantizer, t: np.ndarray, sigma: np.ndarray, rate: np.ndarray):
             yield h
 
 
-def _path_rows(q: Quantizer, dh: DrivenHamiltonian, times: np.ndarray):
-    """``_rows`` at the midpoints of ``times``, sigma and sigma' read
-    there in one path call each."""
-    mids = 0.5 * (times[:-1] + times[1:])
-    return _rows(q, mids, dh.path.values(mids), dh.path.velocities(mids))
+def _steps(dh: DrivenHamiltonian, times: np.ndarray, *quantizers):
+    """The one binding of a window's rows: the step width dt of the
+    uniform ``times`` and, per quantizer, its ``_rows`` at the step
+    midpoints, with s the mean of sigma at the step's ends and the rates
+    v = delta sigma / dt.  The path is read once, at ``times``."""
+    dt = (times[-1] - times[0]) / (len(times) - 1)
+    sig = dh.path.values(times)
+    bound = (0.5 * (times[1:] + times[:-1]), 0.5 * (sig[1:] + sig[:-1]),
+             (sig[1:] - sig[:-1]) / dt)
+    return (dt, *(_rows(q, *bound) for q in quantizers))
 
 
 def _taylor_apply(h: sp.csr_array, x: np.ndarray, dt: float,
@@ -566,10 +565,10 @@ def propagate_state(dh: DrivenHamiltonian, initial: WaveSection, steps: int,
                     with_geometric: bool = True) -> StateTrajectory:
     """Propagate a state at fine step counts without per-step eigh.
 
-    Each step takes the full generator G + H'(t_mid), with the entries
-    the dense pass assembles, and applies exp(-i dt H) by an adaptive
-    Taylor series of matrix-vector products.  The generators are filled
-    in blocks of steps (``_rows``); a static window is one row.  The
+    Each step takes H* bound by ``_steps``, as the dense pass does,
+    and applies exp(-i dt H*) by an adaptive Taylor series of
+    matrix-vector products.  The generators are filled in blocks of
+    steps (``_rows``); a static window is one row.  The
     total phase column is the unwrapped angle of the state on the
     initial one; the geometric column (``with_geometric``) is that of
     the initial state carried through the transport segments over the
@@ -582,16 +581,14 @@ def propagate_state(dh: DrivenHamiltonian, initial: WaveSection, steps: int,
         raise ValueError("steps must be at least 1")
     t0, t1 = _resolve_span(dh, t_start, t_end)
     times = np.linspace(t0, t1, steps + 1)
-    dt = (t1 - t0) / steps
     grid = dh.grid
     n, m = grid.dim, dh.bundle.n_parameters
     psi0 = initial.values.copy()
     psi = psi0.copy()
 
-    # a static window is one row of generator data for every step
+    # a static window is its first step's row for every step
     static = _is_static(dh)
-    gens = _path_rows(dh.full_quantizer, dh,
-                      np.array([t0, t1]) if static else times)
+    dt, gens = _steps(dh, times[:2] if static else times, dh.full_quantizer)
     if static:
         gens = itertools.repeat(next(gens), steps)
 

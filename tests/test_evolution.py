@@ -353,32 +353,29 @@ def test_transport_product_matches_expm(n_grid, segments):
     assert unitarity_defect(u) <= 1e-12
 
 
+def literal_rows(dh):
+    """A stand-in for ``evolution._rows`` that fills G by the one-sided
+    assembly, which is not Hermitian once the drift varies in q."""
+    def rows(q, t, sigma, rate):
+        for row in zip(t, sigma, rate):
+            yield quantize_affine_literal(dh.geometric, dh.grid, *row).matrix
+    return rows
+
+
 def test_telescoped_transport_keeps_hermiticity_gate(monkeypatch):
-    # a single parameter with a q-dependent coupling telescopes; its
-    # one-sided assembly is not Hermitian
+    # a single parameter with a q-dependent coupling telescopes
     bundle = BundleModel(1, 1, ((Var("q1"),),))
     path = ParameterPath.from_expressions([expr("0.4*sin(t)", ["t"])],
                                           span=(0.0, 1.0))
     dh = DrivenHamiltonian(bundle, path, P(1, {}), FiberGrid((32,), (4.0,)))
-
-    class Literal:
-        def operator(self, *row):
-            return quantize_affine_literal(dh.geometric, dh.grid, *row)
-
-    monkeypatch.setitem(dh.__dict__, "geometric_quantizer", Literal())
+    monkeypatch.setattr(evolution, "_rows", literal_rows(dh))
     with pytest.raises(RuntimeError, match="hermiticity"):
         geometric_factor(dh, segments=4)
 
 
 def test_transport_product_keeps_hermiticity_gate(monkeypatch):
-    # the one-sided assembly is not Hermitian once the drift varies in q
     dh = nonabelian_dh(n_grid=48)
-
-    def literal_rows(q, t, sigma, rate):
-        for row in zip(t, sigma, rate):
-            yield quantize_affine_literal(dh.geometric, dh.grid, *row).matrix
-
-    monkeypatch.setattr(evolution, "_rows", literal_rows)
+    monkeypatch.setattr(evolution, "_rows", literal_rows(dh))
     with pytest.raises(RuntimeError, match="hermiticity"):
         geometric_factor(dh, segments=4)
 
@@ -479,6 +476,38 @@ def test_coarse_geometric_phase_lifts_the_transported_angle(kick, slope,
     assert res.phase_geometric_unwrapped == pytest.approx(fine, abs=1e-2)
 
 
+@example(kick=0.5, slope=1.0, radius=1.0)
+@given(kick=st.floats(0.2, 2.0), slope=st.floats(0.2, 1.0),
+       radius=st.floats(0.3, 1.0))
+def test_pure_transport_total_phase_is_geometric_phase(kick, slope, radius):
+    # with no Hamiltonian each step of H* is the transport increment of
+    # its segment, so the two phase columns are one
+    dh = sheared_loop_dh(slope, radius)
+    ws = WaveSection.gaussian(dh.grid, width=1.0, momentum=kick)
+    traj = propagate_state(dh, ws, steps=64)
+    assert np.max(np.abs(traj.phase_total - traj.phase_geometric)) <= 1e-12
+
+
+def test_one_path_read_per_window(monkeypatch):
+    # every step, segment and sample binds its rows from one read of
+    # sigma at the window's times; no loop reads sigma'
+    reads = []
+    for name in ("values", "velocities"):
+        def counted(self, ts, name=name, read=getattr(ParameterPath, name)):
+            reads.append(name)
+            return read(self, ts)
+        monkeypatch.setattr(ParameterPath, name, counted)
+    dh = oscillator_dh(n_grid=32, t1=1.0)
+    ws = WaveSection.gaussian(dh.grid, width=1.0, momentum=0.3)
+    full = evolve_time_ordered(dh, 8, initial=ws)
+    assert not full.static_collapse
+    # U, the telescoped U_geo and the coarse phase's segments
+    assert reads == ["values"] * 3
+    split_evolution(dh, full)
+    # U_dyn and the commutator samples
+    assert reads == ["values"] * 5
+
+
 def test_diagnostics_run_forms_the_transport_product_once(tmp_path,
                                                            monkeypatch):
     config = parse_scenario({
@@ -509,12 +538,27 @@ def test_diagnostics_run_forms_the_transport_product_once(tmp_path,
 # -- factorization -------------------------------------------------------
 
 
-def test_split_commuting_asserts_and_passes():
-    bundle = BundleModel(1, 1, ((c(0.4),),))
-    path = ParameterPath.from_expressions([Var("t")], span=(0.0, 1.0))
-    ham = P(1, {(1, 1): c(0.5)})
-    dh = DrivenHamiltonian(bundle, path, ham, FiberGrid((48,), (5.0,)))
-    u_geo, u_dyn, report = split_evolution(dh, evolve_time_ordered(dh, 64))
+@example(coupling=0.4, linear=True, amp=1.0, freq=1.0, k0=1.0, wobble=0.0,
+         t1=1.0, steps=64)
+@example(coupling=0.7, linear=False, amp=0.5, freq=1.3, k0=1.0, wobble=0.5,
+         t1=2.0, steps=16)
+@given(coupling=st.floats(0.1, 1.5), linear=st.booleans(),
+       amp=st.floats(0.1, 1.0), freq=st.floats(0.5, 3.0),
+       k0=st.floats(0.5, 1.5), wobble=st.floats(0.0, 0.9),
+       t1=st.floats(0.5, 3.0), steps=st.sampled_from([8, 16, 32]))
+def test_split_commuting_asserts_and_passes(coupling, linear, amp, freq, k0,
+                                            wobble, t1, steps):
+    # a constant coupling commutes with a kinetic term whatever the path:
+    # each dense step carries the increment G(delta sigma) that U_geo
+    # telescopes, so U = U_geo U_dyn to rounding
+    drive = "t" if linear else f"{amp!r}*sin({freq!r}*t)"
+    bundle = BundleModel(1, 1, ((c(coupling),),))
+    path = ParameterPath.from_expressions([expr(drive, ["t"])],
+                                          span=(0.0, t1))
+    ham = P(1, {(1, 1): expr(f"{0.5 * k0!r}*(1 + {wobble!r}*sin(t))",
+                             ["t"])})
+    dh = DrivenHamiltonian(bundle, path, ham, FiberGrid((32,), (5.0,)))
+    u_geo, u_dyn, report = split_evolution(dh, evolve_time_ordered(dh, steps))
     assert report.commuting
     assert report.commutator_max <= 1e-10
     assert report.factorization_defect <= 1e-8
