@@ -27,8 +27,17 @@ stage times at once.
 
 The dense pass forms U and the transport product U_geo once per window;
 the split reads both and forms only U_dyn.  U and U_dyn are products of
-exact eigendecomposition exponentials (``_step_unitary``, the one such
-route), so unitarity holds to rounding at every step count.  The
+exact eigendecomposition exponentials, so unitarity holds to rounding
+at every step count.  Every grid axis has an even number of points, and
+there the diagonal gauge S = diag(i^(j_1 + ... + j_n)) of
+``operators._gauge`` turns each quantized generator h into the real
+symmetric S h S^dagger.  ``_eigh`` is the one eigendecomposition: h
+passes the one gate (``_gated_dense``, relative hermiticity defect at
+most ``HERMITICITY_STEP_TOL``), the gauged matrix must be exactly real,
+and its eigenvectors V are real.  The step
+product keeps U and the carried state in the gauged basis and applies
+each step as V (e * (V^T x)) through real GEMMs; the telescoped
+transport of a commuting family forms V diag(e) V^T once.  The
 geometric phase, fine-step column and coarse value alike, is the
 unwrapped angle of the initial state carried through the transport
 segments over the times asked for (``_transport_phases``).
@@ -42,8 +51,8 @@ A transport segment whose one-norm bound exceeds
 ``TRANSPORT_SUBSTEP_NORM`` is cut into equal substeps of the same
 generator; a state step too large for the series raises instead.
 Generators stay sparse stencils throughout; a dense step makes its
-generator a dense array once, for the Hermiticity gate and the
-eigendecomposition.
+generator a dense array once, for the Hermiticity gate and, gauged to
+a real matrix, the eigendecomposition.
 """
 
 from __future__ import annotations
@@ -73,6 +82,7 @@ from .operators import (
     position_expectations,
     Quantizer,
     quantizer,
+    _gauge,
     _relative_defect,
 )
 
@@ -300,7 +310,7 @@ def _is_static(dh: DrivenHamiltonian) -> bool:
 
 def _gated_dense(h: sp.csr_array):
     """h as an ndarray and its relative hermiticity defect, at most
-    HERMITICITY_STEP_TOL."""
+    HERMITICITY_STEP_TOL: the one gate on a generator."""
     m = h.toarray()
     defect = _relative_defect(m)
     if defect > HERMITICITY_STEP_TOL:
@@ -309,37 +319,86 @@ def _gated_dense(h: sp.csr_array):
     return m, defect
 
 
-def _step_unitary(h: sp.csr_array, dt: float):
-    """exp(-i dt h) (dense) and the relative hermiticity defect of h:
-    the one eigendecomposition exponential, and the one gate on it."""
+def _eigh(h: sp.csr_array, grid: FiberGrid):
+    """(w, V, defect) with h = S^dagger V diag(w) V^T S: the one
+    eigendecomposition.
+
+    h passes the gate (``_gated_dense``), its gauged form S h S^dagger
+    (S of ``operators._gauge``) must have an imaginary part of exactly
+    zero, and numpy's ``eigh`` decomposes that float64 array, so V is
+    real orthogonal.
+    """
     m, defect = _gated_dense(h)
-    w, v = np.linalg.eigh(m)
-    return (v * np.exp(-1j * dt * w)) @ v.conj().T, defect
+    s = _gauge(grid)
+    m *= s[:, None]
+    m *= s.conj()
+    if np.any(m.imag):
+        raise RuntimeError(
+            "gauged step generator is not real (largest imaginary part "
+            f"{np.abs(m.imag).max():.3e})")
+    w, v = np.linalg.eigh(m.real)
+    return w, v, defect
+
+
+def _exponential(v: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """V diag(e) V^T for real V: one real GEMM on a complex float view."""
+    return (v @ np.multiply(e[:, None], v.T, order="C").view(float)
+            ).view(complex)
+
+
+def _apply(v: np.ndarray, e: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """V (e * (V^T x)) for real V and a complex vector or block x: two
+    real GEMMs on float views, without forming V diag(e) V^T."""
+    y = (v.T @ x.view(float).reshape(len(v), -1)).view(complex)
+    y *= e[:, None]
+    return (v @ y.view(float)).view(complex).reshape(x.shape)
+
+
+def _ungauged(u: np.ndarray, grid: FiberGrid) -> np.ndarray:
+    """S^dagger u S in place: exact, as S holds only 1, i, -1 and -i."""
+    s = _gauge(grid)
+    u *= s.conj()[:, None]
+    u *= s
+    return u
+
+
+def _step_unitary(h: sp.csr_array, dt: float, grid: FiberGrid):
+    """exp(-i dt h) as a dense ndarray and the relative hermiticity
+    defect of h: V diag(exp(-i dt w)) V^T of ``_eigh``, formed once and
+    taken back from the gauged basis."""
+    w, v, defect = _eigh(h, grid)
+    return _ungauged(_exponential(v, np.exp(-1j * dt * w)), grid), defect
 
 
 def _step_product(q: Quantizer, dh: DrivenHamiltonian, times: np.ndarray,
                   static: bool, psi: np.ndarray | None = None):
     """Ordered product of exact step exponentials of q's ``_steps``
-    rows, a static window's first taken to the power: (U, worst defect,
-    ``psi`` carried along, its overlaps with ``psi`` per step)."""
+    rows, a static window's one step taken to the power: (U, worst
+    defect, ``psi`` carried along, its overlaps with ``psi`` per step).
+
+    U and the state stay in the gauged basis (``_gauge``), where a step
+    is V diag(e) V^T with V real (``_eigh``): the first is formed, every
+    later one acts on U as V (e * (V^T U)) through real GEMMs, and both
+    are taken back at the end.
+    """
     steps = len(times) - 1
+    s = _gauge(dh.grid)
     dt, rows = _steps(dh, times[:2] if static else times, q)
-    factors = (_step_unitary(h, dt) for h in rows)
-    if static:
-        factors = itertools.repeat(next(factors), steps)
-    u = np.eye(dh.grid.size, dtype=complex)
-    max_defect = 0.0
-    start, overlaps = psi, []
-    for u_step, step_defect in factors:
-        max_defect = max(max_defect, step_defect)
-        if psi is not None:
-            psi = u_step @ psi
-            overlaps.append(np.vdot(start, psi))
-        u = u_step if static else u_step @ u
-        del u_step  # freed before the next step's eigendecomposition
+    u, max_defect, overlaps = None, 0.0, []
+    x = start = None if psi is None else s * psi
+    for h in rows:
+        w, v, defect = _eigh(h, dh.grid)
+        max_defect = max(max_defect, defect)
+        e = np.exp(-1j * dt * w)
+        if x is not None:
+            for _ in range(steps if static else 1):
+                x = _apply(v, e, x)
+                overlaps.append(np.vdot(start, x))
+        u = _exponential(v, e) if u is None else _apply(v, e, u)
     if static:
         u = np.linalg.matrix_power(u, steps)
-    return u, max_defect, psi, overlaps
+    return (_ungauged(u, dh.grid), max_defect,
+            None if x is None else s.conj() * x, overlaps)
 
 
 def evolve_time_ordered(dh: DrivenHamiltonian, steps: int,
@@ -440,7 +499,7 @@ def _geometric_product(dh: DrivenHamiltonian, times: np.ndarray):
     if abelian:
         # One commuting family: the increments telescope exactly.
         span, rows = _steps(dh, times[[0, -1]], dh.geometric_quantizer)
-        return _step_unitary(next(rows), span)[0]
+        return _step_unitary(next(rows), span, dh.grid)[0]
 
     # each small increment acts on the running product, so no segment
     # exponential is formed

@@ -71,7 +71,9 @@ _ZERO = Const(0.0)
 
 @dataclass(frozen=True)
 class FiberGrid:
-    """Uniform periodic grid over the fiber box, one or two axes."""
+    """Uniform periodic grid over the fiber box, one or two axes, each
+    with an even number of points (at least 8), so that the diagonal
+    gauge of ``_gauge`` makes every step generator real."""
 
     shape: tuple[int, ...]
     half_widths: tuple[float, ...]
@@ -89,6 +91,8 @@ class FiberGrid:
             raise ValueError("one half-width per axis required")
         if any(n < 8 for n in shape):
             raise ValueError("each axis needs at least 8 points")
+        if any(n % 2 for n in shape):
+            raise ValueError("each axis needs an even number of points")
         if any(l <= 0 for l in hw):
             raise ValueError("half-widths must be positive")
 
@@ -184,6 +188,23 @@ def _coordinates(grid: FiberGrid) -> tuple[np.ndarray, ...]:
     for c in coords:
         c.flags.writeable = False
     return coords
+
+
+@lru_cache(maxsize=64)
+def _gauge(grid: FiberGrid) -> np.ndarray:
+    """The diagonal of S = diag(i^(j_1 + ... + j_n)) over the grid
+    indices (C order), from the exact values {1, i, -1, -i}, read-only.
+
+    A term of momentum degree d in a symmetric-ordered quantized
+    observable with real coefficients is (-i)^d times a real matrix
+    whose entries sit at index offsets of the parity of d; with an even
+    number of points per axis the periodic wrap keeps that parity, and
+    S h S^dagger is real symmetric, exactly in floating point.
+    """
+    s = np.array([1, 1j, -1, -1j])[np.indices(grid.shape).sum(axis=0).ravel()
+                                   % 4]
+    s.flags.writeable = False
+    return s
 
 
 def _to_dense(m) -> np.ndarray:

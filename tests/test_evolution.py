@@ -564,6 +564,54 @@ def test_split_commuting_asserts_and_passes(coupling, linear, amp, freq, k0,
     assert report.factorization_defect <= 1e-8
 
 
+def expm_steps(q, dh, times):
+    """Per-step scipy expm product of the complex generators of ``q``,
+    bound at each step's midpoint, mean sigma and delta sigma / dt."""
+    dt = times[1] - times[0]
+    sig = dh.path.values(times)
+    u = np.eye(dh.grid.size, dtype=complex)
+    for j in range(len(times) - 1):
+        h = q.operator(0.5 * (times[j] + times[j + 1]),
+                       0.5 * (sig[j] + sig[j + 1]),
+                       (sig[j + 1] - sig[j]) / dt).dense()
+        u = scipy.linalg.expm(-1j * dt * h) @ u
+    return u
+
+
+@given(amp=st.floats(0.1, 1.0), freq=st.floats(0.5, 2.0),
+       kin=st.floats(0.3, 1.0), wobble=st.floats(0.0, 0.5),
+       coupling=st.floats(0.2, 1.0), t1=st.floats(0.5, 2.0),
+       steps=st.sampled_from([3, 4, 8]))
+def test_dense_pass_matches_expm_product(amp, freq, kin, wobble, coupling,
+                                         t1, steps):
+    # the gauged real route against complex exponentials formed here: on
+    # a driven 1-D well with a position-dependent coupling, on an 8 x 10
+    # grid (each axis a different residue mod 4) with a p1 p2 term, and
+    # on a static window, whose one step is taken to the power
+    path = ParameterPath.from_expressions(
+        [expr(f"{amp!r}*sin({freq!r}*t)", ["t"])], span=(0.0, t1))
+    q1, q2, s1 = Var("q1"), Var("q2"), Var("s1")
+    one = DrivenHamiltonian(
+        BundleModel(1, 1, ((c(coupling) + 0.2 * q1,),)), path,
+        P(1, {(1, 1): expr(f"{kin!r}*(1 + {wobble!r}*sin(t))", ["t"]),
+              (): 0.5 * (q1 - s1) ** 2}), FiberGrid((32,), (5.0,)))
+    two = DrivenHamiltonian(
+        BundleModel(1, 2, ((c(coupling),), (c(0.5),))), path,
+        P(2, {(1, 1): c(0.5 * kin), (2, 2): c(0.5),
+              (1, 2): wobble * expr("cos(t)", ["t"]),
+              (): 0.5 * (q1 ** 2 + q2 ** 2) - s1 * q2}),
+        FiberGrid((8, 10), (3.0, 3.5)))
+    static = static_dh(n_grid=32, half_width=5.0, span=t1)
+    for dh in (one, two, static):
+        full = evolve_time_ordered(dh, steps)
+        assert full.static_collapse == (dh is static)
+        u_dyn = split_evolution(dh, full)[1].matrix
+        for u, q in ((full.unitary.matrix, dh.full_quantizer),
+                     (u_dyn, dh.dynamic_quantizer)):
+            assert np.linalg.norm(u - expm_steps(q, dh, full.times)) <= 1e-11
+            assert unitarity_defect(u) <= 1e-12
+
+
 def test_split_noncommuting_reports_without_asserting():
     dh = oscillator_dh(n_grid=48, t1=2.0)
     u_geo, u_dyn, report = split_evolution(dh, evolve_time_ordered(dh, 64))

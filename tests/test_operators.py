@@ -6,7 +6,7 @@ import scipy.linalg
 import scipy.sparse
 from hypothesis import given, strategies as st
 
-from leafquant import evolution
+from leafquant import evolution, operators
 from leafquant.expressions import Const, EvaluationError, Var, parse_expr
 from leafquant.observables import (
     BumpCover,
@@ -91,6 +91,10 @@ def test_grid_validation():
         FiberGrid((4,), (1.0,))
     with pytest.raises(ValueError, match="positive"):
         FiberGrid((16,), (-2.0,))
+    # the gauge that makes every step generator real needs even axes
+    for shape in ((9,), (8, 11), (15, 16)):
+        with pytest.raises(ValueError, match="even number of points"):
+            FiberGrid(shape, 2.0)
 
 
 def test_derivative_exact_antisymmetry():
@@ -455,6 +459,36 @@ def test_quantizer_fills_match_rows_and_product_route(c, h, degree, seed):
                 quantizer(bad, g).block(t, s)
 
 
+@given(c=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
+       h=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+       degree=st.integers(2, 3), covered=st.booleans(),
+       shape=st.sampled_from([(10,), (14,), (16,), (10, 8), (8, 14)]),
+       row=st.tuples(st.floats(-3.0, 3.0), st.floats(-1.0, 1.0),
+                     st.floats(-2.0, 2.0)))
+def test_gauged_generator_is_exactly_real(c, h, degree, covered, shape, row):
+    # S = diag(i^(j1 + ... + jn)): a term of momentum degree d is (-i)^d
+    # times a real matrix at index offsets of the parity of d, and an even
+    # axis keeps that parity across the periodic wrap (whose gauged entry
+    # flips sign when N = 2 mod 4), so S h S^dagger is real to the bit
+    g = FiberGrid(shape, (4.0,) if len(shape) == 1 else (3.0, 2.0))
+    covers = {1: BumpCover(1, (((-3.0, 7.0),), ((3.0, 7.0),))),
+              2: BumpCover(2, (((-2.0, 7.0), (0.0, 7.0)),
+                               ((2.0, 7.0), (0.5, 7.0))))}
+    cover = covers[g.dim] if covered else None
+    j = np.indices(shape).sum(axis=0).ravel()
+    s = np.where(j % 2, 1j, 1.0) * np.where(j % 4 >= 2, -1.0, 1.0)
+    assert np.array_equal(operators._gauge(g), s)
+    even = _random_high(g.dim, 2, h) + P(g.dim, {
+        (): c[4] * Var("q1") ** 2 + c[5] * Var("v1") * Var("s1")})
+    for f in (_rate_affine(g.dim, c) + _random_high(g.dim, degree, h), even):
+        q = quantizer(f, g, cover)
+        gauged = s[:, None] * q.csr(q.block(*row)[0]).toarray() * s.conj()
+        assert np.array_equal(gauged.imag, np.zeros(gauged.shape))
+    # the last is of even momentum degree: no entry joins the two
+    # parities of j1 + ... + jn
+    assert not gauged.real[(j % 2)[:, None] != j % 2].any()
+
+
 def test_quantizer_pattern_holds_affine_plus_high_part():
     for g in (FiberGrid((16,), (4.0,)), FiberGrid((8, 8), (3.0, 2.0))):
         f = _rate_affine(g.dim, [0.3, -0.7, 0.2, 0.5, 1.1, -0.4])
@@ -520,15 +554,15 @@ def test_expm_accepts_sparse_generators():
     # returns a dense unitary with the generator's hermiticity defect
     g = FiberGrid((24,), (3.0,))
     op = quantize_polynomial(P(1, {(1, 1): Const(0.5), (): Var("q1")}), g)
-    u, defect = evolution._step_unitary(op.matrix, 0.3)
+    u, defect = evolution._step_unitary(op.matrix, 0.3, g)
     assert isinstance(u, np.ndarray) and defect == 0.0
     assert np.array_equal(u, evolution._step_unitary(
-        scipy.sparse.csc_array(op.matrix), 0.3)[0])
+        scipy.sparse.csc_array(op.matrix), 0.3, g)[0])
     assert np.linalg.norm(u - scipy.linalg.expm(-0.3j * op.dense())) < 1e-12
-    rng = np.random.default_rng(5)
-    full = rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24))
+    left = quantize_polynomial(P(1, {(1, 1): Var("q1") ** 2}), g,
+                               ordering="left")
     with pytest.raises(RuntimeError, match="hermiticity"):
-        evolution._step_unitary(scipy.sparse.csc_array(full), 1.0)
+        evolution._step_unitary(scipy.sparse.csc_array(left.matrix), 1.0, g)
 
 
 # -- polynomial quantization ---------------------------------------------
@@ -649,19 +683,35 @@ def test_cubic_two_axes():
 
 
 def test_expm_matches_scipy_and_is_unitary():
+    q1, q2 = Var("q1"), Var("q2")
+    cases = [(FiberGrid((40,), (4.0,)), P(1, {
+        (1, 1, 1): 0.05 * q1, (1, 1): 0.5 + 0.1 * q1 ** 2,
+        (1,): parse_expr("sin(q1)", allowed_vars=["q1"]),
+        (): 0.5 * q1 ** 2})),
+        (FiberGrid((8, 10), (3.0, 3.5)), P(2, {
+            (1, 2): 0.3 + 0.1 * q2, (2, 2): Const(0.5), (1, 1, 2): 0.02 * q1,
+            (1,): q2, (): 0.2 * q1 * q2}))]
+    for g, f in cases:
+        h = quantize_polynomial(f, g).dense()
+        u, _ = evolution._step_unitary(scipy.sparse.csr_array(h), 0.37, g)
+        ref = scipy.linalg.expm(-1j * 0.37 * h)
+        assert np.linalg.norm(u - ref) < 1e-10
+        assert np.linalg.norm(u @ u.conj().T - np.eye(g.size)) < 1e-12
+    # a Hermitian matrix that no real-coefficient observable quantizes
+    # to has no real gauged form
     rng = np.random.default_rng(3)
     a = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
-    h = a + a.conj().T
-    u, _ = evolution._step_unitary(scipy.sparse.csr_array(h), 0.37)
-    ref = scipy.linalg.expm(-1j * 0.37 * h)
-    assert np.linalg.norm(u - ref) < 1e-10
-    assert np.linalg.norm(u @ u.conj().T - np.eye(40)) < 1e-12
+    with pytest.raises(RuntimeError, match="not real"):
+        evolution._step_unitary(scipy.sparse.csr_array(a + a.conj().T), 0.37,
+                                cases[0][0])
 
 
 def test_expm_rejects_non_hermitian():
-    m = np.array([[0.0, 1.0], [0.0, 0.0]])
+    g = FiberGrid((16,), (2.0,))
+    m = quantize_polynomial(P(1, {(1, 1): Var("q1") ** 2}), g,
+                            ordering="right").matrix
     with pytest.raises(RuntimeError, match="hermiticity"):
-        evolution._step_unitary(scipy.sparse.csr_array(m), 1.0)
+        evolution._step_unitary(m, 1.0, g)
 
 
 # -- symbol layer --------------------------------------------------------

@@ -154,6 +154,18 @@ def test_grid_axes_must_match_fiber_dim():
     assert err.value.pointer == "/grid/N"
 
 
+def test_odd_grid_refused_at_grid():
+    for n in (33, [16, 15]):
+        doc = base_doc()
+        doc["grid"]["N"] = n
+        if isinstance(n, list):
+            doc["dims"]["n"] = 2
+            doc["connection"]["lambda"] = [["1"], ["0"]]
+        with pytest.raises(ScenarioError, match="even number of points") as err:
+            parse_scenario(doc)
+        assert err.value.pointer == "/grid"
+
+
 def test_initial_vector_length_checked():
     doc = base_doc()
     doc["initial"]["center"] = [0.1, 0.2]
