@@ -33,9 +33,7 @@ from .bundle import (  # noqa: F401
 from .operators import (  # noqa: F401
     FiberGrid,
     WaveSection,
-    LinearOperator,
-    quantize_affine,
-    quantize_polynomial,
+    quantizer,
     hermiticity_defect,
     expectation_value,
     dirac_symbol_defect,

@@ -50,9 +50,11 @@ transport product, whose running factor starts at the identity).
 A transport segment whose one-norm bound exceeds
 ``TRANSPORT_SUBSTEP_NORM`` is cut into equal substeps of the same
 generator; a state step too large for the series raises instead.
-Generators stay sparse stencils throughout; a dense step makes its
-generator a dense array once, for the Hermiticity gate and, gauged to
-a real matrix, the eigendecomposition.
+Generators are the quantizers' ``csr_array``s throughout, and the
+pointwise ones are returned as such; a dense step makes its generator
+a dense array once, for the Hermiticity gate and, gauged to a real
+matrix, the eigendecomposition.  U, U_geo, U_dyn and the geometric
+factor are returned as ndarrays.
 """
 
 from __future__ import annotations
@@ -75,7 +77,6 @@ from .observables import (
 from .operators import (
     ORDERINGS,
     FiberGrid,
-    LinearOperator,
     WaveSection,
     inner_product,
     momentum_expectations,
@@ -196,18 +197,18 @@ class DrivenHamiltonian:
         return quantizer(self.star, self.grid, self.cover, self.ordering)
 
 
-def geometric_generator(dh: DrivenHamiltonian, t: float) -> LinearOperator:
+def geometric_generator(dh: DrivenHamiltonian, t: float) -> sp.csr_array:
     """Hermitian generator G of the connection drift at clock time t."""
     return dh.geometric_quantizer.operator(t, dh.path.value(t),
                                            dh.path.velocity(t))
 
 
-def dynamic_operator(dh: DrivenHamiltonian, t: float) -> LinearOperator:
+def dynamic_operator(dh: DrivenHamiltonian, t: float) -> sp.csr_array:
     """The frozen-parameter Hamiltonian H'(t), Hermitian."""
     return dh.dynamic_quantizer.operator(t, dh.path.value(t))
 
 
-def full_generator(dh: DrivenHamiltonian, t: float) -> LinearOperator:
+def full_generator(dh: DrivenHamiltonian, t: float) -> sp.csr_array:
     """G(t) + H'(t): one fill of the quantized H* at (t, sigma, sigma')."""
     return dh.full_quantizer.operator(t, dh.path.value(t),
                                       dh.path.velocity(t))
@@ -218,8 +219,8 @@ def full_generator(dh: DrivenHamiltonian, t: float) -> LinearOperator:
 
 @dataclass
 class EvolutionResult:
-    unitary: LinearOperator
-    geometric: LinearOperator
+    unitary: np.ndarray
+    geometric: np.ndarray
     times: np.ndarray
     unitarity_defect: float
     max_step_hermiticity_defect: float
@@ -431,8 +432,8 @@ def evolve_time_ordered(dh: DrivenHamiltonian, steps: int,
     geo = _geometric_product(dh, times)
     defect = float(np.linalg.norm(u @ u.conj().T - np.eye(len(u))))
     result = EvolutionResult(
-        unitary=LinearOperator(dh.grid, u),
-        geometric=LinearOperator(dh.grid, geo),
+        unitary=u,
+        geometric=geo,
         times=times,
         unitarity_defect=defect,
         max_step_hermiticity_defect=max_defect,
@@ -513,7 +514,7 @@ def _geometric_product(dh: DrivenHamiltonian, times: np.ndarray):
 
 def geometric_factor(dh: DrivenHamiltonian, t_end: float | None = None,
                      t_start: float | None = None,
-                     segments: int = 2048) -> LinearOperator:
+                     segments: int = 2048) -> np.ndarray:
     """Parallel-displacement factor along the path image.
 
     Path-ordered product of exp(-i dt G) over uniform clock segments,
@@ -527,7 +528,7 @@ def geometric_factor(dh: DrivenHamiltonian, t_end: float | None = None,
         raise ValueError("segments must be at least 1")
     t0, t1 = _resolve_span(dh, t_start, t_end)
     times = np.linspace(t0, t1, segments + 1)
-    return LinearOperator(dh.grid, _geometric_product(dh, times))
+    return _geometric_product(dh, times)
 
 
 def split_evolution(dh: DrivenHamiltonian, full: EvolutionResult):
@@ -539,7 +540,7 @@ def split_evolution(dh: DrivenHamiltonian, full: EvolutionResult):
     SPLIT_SAMPLES even steps (``_steps``), and the factorization
     defect, held to SPLIT_TOL when the family commutes.
     """
-    if full.unitary.grid != dh.grid:
+    if full.unitary.shape != (dh.grid.size,) * 2:
         raise ValueError("dense result lives on a different grid")
     times = full.times
     u_dyn = _step_product(dh.dynamic_quantizer, dh, times,
@@ -548,19 +549,21 @@ def split_evolution(dh: DrivenHamiltonian, full: EvolutionResult):
     ts = np.linspace(times[0], times[-1], SPLIT_SAMPLES + 1)
     _, geo, dyn = _steps(dh, ts, dh.geometric_quantizer, dh.dynamic_quantizer)
     for g, h in zip(geo, dyn):
-        g, h = LinearOperator(dh.grid, g), LinearOperator(dh.grid, h)
-        ng, nh = g.frobenius(), h.frobenius()
+        ng, nh = np.linalg.norm(g.data), np.linalg.norm(h.data)
         if ng == 0.0 or nh == 0.0:
             continue
-        comm_max = max(comm_max, g.commutator(h).frobenius() / (ng * nh))
-    defect = float(np.linalg.norm(
-        full.unitary.matrix - full.geometric.matrix @ u_dyn))
+        c = g @ h - h @ g
+        # a product's entries come unsorted; sorting them fixes the
+        # order in which the norm sums them
+        c.sum_duplicates()
+        comm_max = max(comm_max, np.linalg.norm(c.data) / (ng * nh))
+    defect = float(np.linalg.norm(full.unitary - full.geometric @ u_dyn))
     commuting = bool(comm_max <= COMMUTING_THRESHOLD)
     if commuting and defect > SPLIT_TOL:
         raise RuntimeError(
             f"commuting generators but factorization defect {defect:.3e} "
             f"exceeds {SPLIT_TOL:.1e}")
-    return (full.geometric, LinearOperator(dh.grid, u_dyn),
+    return (full.geometric, u_dyn,
             SplitReport(float(comm_max), defect, commuting))
 
 
@@ -638,6 +641,8 @@ def propagate_state(dh: DrivenHamiltonian, initial: WaveSection, steps: int,
         raise ValueError("initial state lives on a different grid")
     if steps < 1:
         raise ValueError("steps must be at least 1")
+    if record_every < 1:
+        raise ValueError("record_every must be at least 1")
     t0, t1 = _resolve_span(dh, t_start, t_end)
     times = np.linspace(t0, t1, steps + 1)
     grid = dh.grid
@@ -691,10 +696,11 @@ def propagate_state(dh: DrivenHamiltonian, initial: WaveSection, steps: int,
 # -- Heisenberg picture and the classical oracle -------------------------
 
 
-def heisenberg_derivative(fhat: LinearOperator, dh: DrivenHamiltonian,
-                          t: float) -> LinearOperator:
+def heisenberg_derivative(fhat: sp.csr_array, dh: DrivenHamiltonian,
+                          t: float) -> sp.csr_array:
     """i[H(t), f]; explicit time dependence of f is the caller's term."""
-    return 1j * full_generator(dh, t).commutator(fhat)
+    h = full_generator(dh, t)
+    return 1j * (h @ fhat - fhat @ h)
 
 
 def classical_hamilton_flow(dh: DrivenHamiltonian, initial: ClassicalState,

@@ -13,8 +13,11 @@ affine factorization of a higher polynomial only the first factor of
 each product has a coefficient that is not a function of q, so the
 product is a fixed linear map of its samples.  ``quantizer`` builds one
 CSR pattern per observable (the banded stencil for an affine one) and
-that map; an assembly only fills values.  Exponentials and their
-products are dense.  A small operator-symbol layer mirrors first-order
+that map; an assembly only fills values, and
+``quantizer(f, grid, cover, ordering).operator(t, sigma, rate)`` is the
+operator at one point.  Quantized operators are ``scipy.sparse``
+``csr_array``s; exponentials and their products (``evolution``) are
+dense ndarrays.  A small operator-symbol layer mirrors first-order
 operators symbolically so the commutator algebra can be checked
 without any grid.
 """
@@ -30,7 +33,6 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .expressions import Const, Expression
 from .observables import (
@@ -43,14 +45,11 @@ from .observables import (
 __all__ = [
     "FiberGrid",
     "WaveSection",
-    "LinearOperator",
     "OperatorSymbol",
     "derivative_matrix",
     "Quantizer",
     "quantizer",
-    "quantize_affine",
     "quantize_affine_literal",
-    "quantize_polynomial",
     "inner_product",
     "hermiticity_defect",
     "expectation_value",
@@ -167,16 +166,6 @@ class WaveSection:
             raise ValueError("cannot normalize the zero section")
         return WaveSection(self.grid, self.values / n, self.time, self.sigma)
 
-    def mass_confinement(self, fraction: float = 0.9) -> float:
-        """Probability mass inside the shrunken box |x_a| <= fraction L_a."""
-        density = np.abs(self.values) ** 2
-        inside = np.ones(self.grid.size, dtype=bool)
-        coords = self.grid.coordinates()
-        for a in range(self.grid.dim):
-            inside &= np.abs(coords[a]) <= fraction * self.grid.half_widths[a]
-        total = density.sum()
-        return float(density[inside].sum() / total) if total > 0 else 0.0
-
 
 @lru_cache(maxsize=64)
 def _coordinates(grid: FiberGrid) -> tuple[np.ndarray, ...]:
@@ -205,80 +194,6 @@ def _gauge(grid: FiberGrid) -> np.ndarray:
                                    % 4]
     s.flags.writeable = False
     return s
-
-
-def _to_dense(m) -> np.ndarray:
-    return m.toarray() if sp.issparse(m) else np.asarray(m)
-
-
-class LinearOperator:
-    """Operator over a fiber grid: a CSR stencil or a dense matrix.
-
-    Quantized generators are CSR arrays; exponentials and their products
-    are dense ndarrays.  Arithmetic accepts either storage on each side
-    (sparse with sparse stays sparse), and ``dense()`` gives the ndarray.
-    """
-
-    __slots__ = ("grid", "matrix")
-
-    def __init__(self, grid: FiberGrid, matrix):
-        if sp.issparse(matrix):
-            if matrix.format != "csr" or matrix.dtype != complex:
-                matrix = sp.csr_array(matrix, dtype=complex)
-        else:
-            matrix = np.asarray(matrix, dtype=complex)
-        if matrix.shape != (grid.size, grid.size):
-            raise ValueError("matrix shape does not match the grid")
-        self.grid = grid
-        self.matrix = matrix
-
-    def dense(self) -> np.ndarray:
-        """The matrix as an ndarray (the stored one when already dense)."""
-        return _to_dense(self.matrix)
-
-    def _require_same_grid(self, other: "LinearOperator"):
-        if self.grid != other.grid:
-            raise ValueError("operators live on different grids")
-
-    def __matmul__(self, other):
-        if isinstance(other, LinearOperator):
-            self._require_same_grid(other)
-            return LinearOperator(self.grid, self.matrix @ other.matrix)
-        return NotImplemented
-
-    def __add__(self, other):
-        self._require_same_grid(other)
-        return LinearOperator(self.grid, self.matrix + other.matrix)
-
-    def __sub__(self, other):
-        self._require_same_grid(other)
-        return LinearOperator(self.grid, self.matrix - other.matrix)
-
-    def __mul__(self, scalar):
-        return LinearOperator(self.grid, self.matrix * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return LinearOperator(self.grid, -self.matrix)
-
-    def adjoint(self) -> "LinearOperator":
-        return LinearOperator(self.grid, self.matrix.conj().T)
-
-    def commutator(self, other: "LinearOperator") -> "LinearOperator":
-        self._require_same_grid(other)
-        return LinearOperator(
-            self.grid, self.matrix @ other.matrix - other.matrix @ self.matrix)
-
-    def frobenius(self) -> float:
-        m = self.matrix
-        return float(spla.norm(m) if sp.issparse(m) else np.linalg.norm(m))
-
-    def apply(self, target):
-        if isinstance(target, WaveSection):
-            return WaveSection(self.grid, self.matrix @ target.values,
-                               target.time, target.sigma)
-        return self.matrix @ np.asarray(target, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -329,14 +244,14 @@ def _stencil(grid: FiberGrid) -> _Stencil:
     return st
 
 
-def derivative_matrix(grid: FiberGrid, axis: int = 0) -> LinearOperator:
+def derivative_matrix(grid: FiberGrid, axis: int = 0) -> sp.csr_array:
     """Periodic central-difference derivative along the given axis."""
     if not 0 <= axis < grid.dim:
         raise ValueError(f"axis {axis} out of range for a {grid.dim}d grid")
     st = _stencil(grid)
     data = np.zeros(len(st.indices), dtype=complex)
     data[st.slots[axis]] = st.steps[axis]
-    return LinearOperator(grid, st.csr(data))
+    return st.csr(data)
 
 
 def _sample(expr: Expression, binding: dict, size: int) -> np.ndarray:
@@ -431,10 +346,9 @@ class Quantizer:
         return data
 
     def operator(self, t: float = 0.0, sigma: Sequence[float] = (),
-                 rate: Sequence[float] = ()) -> LinearOperator:
+                 rate: Sequence[float] = ()) -> sp.csr_array:
         """The operator at one (t, sigma, rate): a one-row block."""
-        return LinearOperator(self.grid,
-                              self.csr(self.block([t], [sigma], [rate])[0]))
+        return self.csr(self.block([t], [sigma], [rate])[0])
 
 
 def _orders(d: int, ordering: str) -> list[tuple[int, ...]]:
@@ -491,8 +405,7 @@ def quantizer(f: PolynomialObservable, grid: FiberGrid,
         if len(group) == 1:
             continue
         ((axis,), c), = group[0].terms.items()
-        mats = [None] + [quantizer(h, grid).operator().matrix
-                         for h in group[1:]]
+        mats = [None] + [quantizer(h, grid).operator() for h in group[1:]]
         orders = _orders(len(group), ordering)
         # entry e = (x, b) of F enters (L F R)_ij as i L_ix R_bj
         e, x, y, v = (np.concatenate(z) for z in zip(*(_joint(
@@ -520,25 +433,9 @@ def quantizer(f: PolynomialObservable, grid: FiberGrid,
                      tuple(high))
 
 
-def quantize_affine(f: PolynomialObservable, grid: FiberGrid,
-                    t: float = 0.0, sigma: Sequence[float] = (),
-                    rate: Sequence[float] = ()) -> LinearOperator:
-    """Hermitian operator of a momentum-affine observable.
-
-    A one-row fill of the observable's ``quantizer`` at clock time
-    ``t``, parameters ``sigma`` (s1..sm) and rates ``rate`` (v1..vm).
-    The drift part is symmetrized, which for the antisymmetric
-    difference matrix is Hermitian exactly: q^1 p_1, for instance,
-    becomes -(i/2)(Q D + D Q).
-    """
-    if not f.is_affine():
-        raise ValueError("observable is not affine in the momenta")
-    return quantizer(f, grid).operator(t, sigma, rate)
-
-
 def quantize_affine_literal(f: PolynomialObservable, grid: FiberGrid,
                             t: float = 0.0, sigma: Sequence[float] = (),
-                            rate: Sequence[float] = ()) -> LinearOperator:
+                            rate: Sequence[float] = ()) -> sp.csr_array:
     """One-sided assembly -i a^k D_k - (i/2) div(a) + b.
 
     Kept as an independent route: it matches the symmetrized form on
@@ -561,16 +458,7 @@ def quantize_affine_literal(f: PolynomialObservable, grid: FiberGrid,
         data[st.slots[k]] = (-1j) * (ak[st.rows[k]] * st.steps[k])
         divergence = divergence + sample(a[k].diff(f"q{k + 1}"))
     data[st.diagonal] = sample(b) + (-0.5j) * divergence
-    return LinearOperator(grid, st.csr(data))
-
-
-def quantize_polynomial(f: PolynomialObservable, grid: FiberGrid,
-                        t: float = 0.0, sigma: Sequence[float] = (),
-                        cover: BumpCover | None = None,
-                        ordering: str = "symmetric") -> LinearOperator:
-    """Quantize a momentum polynomial through its affine factorization:
-    a one-row fill of ``quantizer(f, grid, cover, ordering)``."""
-    return quantizer(f, grid, cover, ordering).operator(t, sigma)
+    return st.csr(data)
 
 
 def inner_product(a: WaveSection, b: WaveSection) -> complex:
@@ -580,9 +468,10 @@ def inner_product(a: WaveSection, b: WaveSection) -> complex:
     return complex(a.grid.cell_volume * np.sum(a.values * b.values.conj()))
 
 
-def hermiticity_defect(op: LinearOperator) -> float:
-    """Relative Frobenius distance from the adjoint."""
-    return _relative_defect(op.dense())
+def hermiticity_defect(h: sp.csr_array) -> float:
+    """Relative Frobenius distance of a quantized operator from its
+    adjoint."""
+    return _relative_defect(h.toarray())
 
 
 def _relative_defect(m: np.ndarray) -> float:
@@ -590,9 +479,9 @@ def _relative_defect(m: np.ndarray) -> float:
     return float(gap / max(1.0, np.linalg.norm(m)))
 
 
-def expectation_value(op: LinearOperator, ws: WaveSection) -> float:
-    """Real part of <op psi, psi> / <psi, psi>."""
-    num = inner_product(op.apply(ws), ws)
+def expectation_value(h: sp.csr_array, ws: WaveSection) -> float:
+    """Real part of <h psi, psi> / <psi, psi>."""
+    num = inner_product(WaveSection(ws.grid, h @ ws.values), ws)
     den = inner_product(ws, ws).real
     return float(num.real / den)
 
@@ -609,7 +498,7 @@ def momentum_expectations(ws: WaveSection) -> np.ndarray:
     out = []
     for a in range(ws.grid.dim):
         d = derivative_matrix(ws.grid, a)
-        val = np.vdot(ws.values, -1j * d.apply(ws.values)).real
+        val = np.vdot(ws.values, -1j * (d @ ws.values)).real
         out.append(val * ws.grid.cell_volume)
     return np.array(out) / (ws.norm() ** 2)
 
@@ -715,9 +604,7 @@ def dirac_grid_defect(f: PolynomialObservable, g: PolynomialObservable,
                       grid: FiberGrid, state: WaveSection,
                       t: float = 0.0, sigma: Sequence[float] = ()) -> float:
     """Residual norm of ([f_hat, g_hat] + i bracket_hat) psi / |psi|."""
-    fh = quantize_affine(f, grid, t, sigma)
-    gh = quantize_affine(g, grid, t, sigma)
-    ph = quantize_affine(poisson_bracket(f, g), grid, t, sigma)
-    res = fh.commutator(gh).matrix @ state.values \
-        + 1j * (ph.matrix @ state.values)
+    fh, gh, ph = (quantizer(h, grid).operator(t, sigma)
+                  for h in (f, g, poisson_bracket(f, g)))
+    res = (fh @ gh - gh @ fh) @ state.values + 1j * (ph @ state.values)
     return float(np.linalg.norm(res) / np.linalg.norm(state.values))

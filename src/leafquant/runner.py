@@ -178,7 +178,7 @@ def _ehrenfest_gaps(config, dh, traj, t0, t1):
 def _factor(dh, segments, made: dict) -> np.ndarray:
     """The geometric factor of ``dh`` at ``segments``, made once per run."""
     if segments not in made:
-        made[segments] = geometric_factor(dh, segments=segments).matrix
+        made[segments] = geometric_factor(dh, segments=segments)
     return made[segments]
 
 
@@ -206,7 +206,7 @@ def _reparam_diag(config, dh, made):
     dh_w = DrivenHamiltonian(config.bundle, warped_path,
                              config.hamiltonian, config.grid,
                              cover=config.cover, ordering=config.ordering)
-    warped = geometric_factor(dh_w, segments=config.segments).matrix
+    warped = geometric_factor(dh_w, segments=config.segments)
     return {"segments": int(config.segments),
             "difference": float(np.linalg.norm(base - warped))}
 
@@ -264,7 +264,7 @@ def run(config: ScenarioConfig, out_dir: str | Path,
         (out / "trajectory.csv").write_text(csv_text)
         artifacts["trajectory"] = "trajectory.csv"
     if dump_unitary or "unitary" in config.outputs:
-        write_matrix_dump(out / "unitary.bin", dense.unitary.matrix)
+        write_matrix_dump(out / "unitary.bin", dense.unitary)
         artifacts["unitary"] = "unitary.bin"
 
     report = RunReport(

@@ -22,8 +22,7 @@ from .expressions import Const, Var, parse_expr
 from .observables import (BumpCover, CoverageError, PolynomialObservable,
                           decompose_polynomial)
 from .operators import (FiberGrid, WaveSection, dirac_symbol_defect,
-                        dirac_grid_defect, hermiticity_defect,
-                        quantize_affine, quantize_polynomial)
+                        dirac_grid_defect, hermiticity_defect, quantizer)
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite", "format_results",
            "verify_dirac", "verify_hermiticity", "verify_holonomy",
@@ -148,8 +147,8 @@ def verify_hermiticity(affine_count: int = 100, poly_count: int = 20,
     worst = 0.0
     for _ in range(affine_count):
         f = _rand_affine(rng, 1, names)
-        op = quantize_affine(f, grid, t=float(rng.uniform(0, 2)),
-                             sigma=(float(rng.uniform(-1, 1)),))
+        op = quantizer(f, grid).operator(float(rng.uniform(0, 2)),
+                                         (float(rng.uniform(-1, 1)),))
         worst = max(worst, hermiticity_defect(op))
     results.append(_check("hermiticity", "affine_batch", worst, 1e-12,
                           started=started,
@@ -163,8 +162,8 @@ def verify_hermiticity(affine_count: int = 100, poly_count: int = 20,
     worst = 0.0
     for i in range(poly_count):
         f = _rand_polynomial(rng, 1, 3, names)
-        op = quantize_polynomial(f, grid, t=0.3, sigma=(0.2,),
-                                 cover=covers[i % len(covers)])
+        op = quantizer(f, grid, covers[i % len(covers)]).operator(
+            0.3, (0.2,))
         worst = max(worst, hermiticity_defect(op))
     results.append(_check("hermiticity", "polynomial_batch", worst, 1e-12,
                           started=started,
@@ -176,7 +175,7 @@ def verify_hermiticity(affine_count: int = 100, poly_count: int = 20,
     for _ in range(5):
         f = _rand_polynomial(rng, 2, 3, ["t", "q1", "q2"])
         worst = max(worst, hermiticity_defect(
-            quantize_polynomial(f, grid2, t=0.1, sigma=())))
+            quantizer(f, grid2).operator(0.1)))
     results.append(_check("hermiticity", "two_axis", worst, 1e-12,
                           started=started, detail="5 operators, 16x16"))
     return results
@@ -212,36 +211,35 @@ def verify_holonomy(seed: int = _SEED) -> list[CheckResult]:
     grid = FiberGrid(128, 8.0)
     eye = np.eye(grid.size)
     dh = DrivenHamiltonian(_flat_bundle(), _circle_path(0.5), zero_h, grid)
-    gap = np.linalg.norm(geometric_factor(dh, segments=256).matrix - eye)
+    gap = np.linalg.norm(geometric_factor(dh, segments=256) - eye)
     results.append(_check("holonomy", "flat_identity", gap, 1e-7,
                           started=started, detail="telescoped product"))
 
     started = time.perf_counter()
     dh = DrivenHamiltonian(_flat_bundle(force_general=True),
                            _circle_path(0.5), zero_h, grid)
-    gap = np.linalg.norm(geometric_factor(dh, segments=512).matrix - eye)
+    gap = np.linalg.norm(geometric_factor(dh, segments=512) - eye)
     results.append(_check("holonomy", "flat_identity_segmented", gap, 1e-7,
                           started=started, detail="512 segments"))
 
     started = time.perf_counter()
     dh = _nonabelian_dh(64)
     u = geometric_factor(dh, segments=512)
-    defect = np.linalg.norm(u.adjoint().matrix @ u.matrix
-                            - np.eye(dh.grid.size))
+    defect = np.linalg.norm(u.conj().T @ u - np.eye(dh.grid.size))
     results.append(_check("holonomy", "unitary_product", defect, 1e-10,
                           started=started))
 
     started = time.perf_counter()
-    mag = np.linalg.norm(u.matrix - np.eye(dh.grid.size))
+    mag = np.linalg.norm(u - np.eye(dh.grid.size))
     results.append(_check("holonomy", "nontrivial_loop", mag, 1e-2,
                           op=">=", started=started,
                           detail="coupling with a position component"))
 
     started = time.perf_counter()
     half = np.pi
-    u_a = geometric_factor(dh, t_end=half, segments=256).matrix
-    u_b = geometric_factor(dh, t_start=half, segments=256).matrix
-    u_ab = geometric_factor(dh, segments=512).matrix
+    u_a = geometric_factor(dh, t_end=half, segments=256)
+    u_b = geometric_factor(dh, t_start=half, segments=256)
+    u_ab = geometric_factor(dh, segments=512)
     gap = np.linalg.norm(u_ab - u_b @ u_a)
     results.append(_check("holonomy", "loop_composition", gap, 1e-12,
                           started=started,
@@ -252,8 +250,8 @@ def verify_holonomy(seed: int = _SEED) -> list[CheckResult]:
     warp = parse_expr(f"t + 0.5*t*({two_pi} - t)/{two_pi}", ["t"])
     dh_w = DrivenHamiltonian(dh.bundle, reparametrize_path(dh.path, warp),
                              zero_h, dh.grid)
-    gap = np.linalg.norm(geometric_factor(dh, segments=1024).matrix
-                         - geometric_factor(dh_w, segments=1024).matrix)
+    gap = np.linalg.norm(geometric_factor(dh, segments=1024)
+                         - geometric_factor(dh_w, segments=1024))
     results.append(_check("holonomy", "reparam_coarse", gap, 1e-3,
                           started=started, detail="1024 segments"))
 

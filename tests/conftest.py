@@ -4,10 +4,18 @@ Collects the one-line verdicts emitted by the acceptance tests and
 replays them in the terminal summary, so they stay visible even when
 stdout capture swallows in-test prints.  Property tests run a few
 derandomized examples without deadlines: the examples repeat from run
-to run, and a machine whose CPU speed drifts cannot flake them.
+to run, and a machine whose CPU speed drifts cannot flake them.  BLAS
+runs one thread unless the environment says otherwise, as
+``perfbench/run.py`` pins it: a suite that shares its cores with
+another process then keeps its own pace.
 """
 
-from hypothesis import settings
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from hypothesis import settings  # noqa: E402
 
 settings.register_profile("leafquant", derandomize=True, deadline=None,
                           max_examples=8)

@@ -130,7 +130,7 @@ def test_acceptance_flat_holonomy():
     dh = cfg.driven()
     eye = np.eye(cfg.grid.size)
     gap_fast = np.linalg.norm(
-        geometric_factor(dh, segments=cfg.segments).matrix - eye)
+        geometric_factor(dh, segments=cfg.segments) - eye)
 
     # same constant components hidden behind a non-constant tree, so the
     # ordered product runs segment by segment instead of telescoping
@@ -138,7 +138,7 @@ def test_acceptance_flat_holonomy():
     bundle = BundleModel(2, 1, ((Const(0.7) + pad, Const(-0.4)),))
     dh_seg = DrivenHamiltonian(bundle, cfg.path, cfg.hamiltonian, cfg.grid)
     gap_seg = np.linalg.norm(
-        geometric_factor(dh_seg, segments=cfg.segments).matrix - eye)
+        geometric_factor(dh_seg, segments=cfg.segments) - eye)
     elapsed = preset_elapsed + time.perf_counter() - started
 
     worst = max(gap_fast, gap_seg)

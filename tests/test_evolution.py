@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import example, given, strategies as st
 
 from leafquant import evolution, operators, runner
@@ -12,8 +13,8 @@ from leafquant.operators import (
     WaveSection,
     derivative_matrix,
     inner_product,
-    quantize_affine,
     quantize_affine_literal,
+    quantizer,
 )
 from leafquant.evolution import (
     ClassicalState,
@@ -97,9 +98,9 @@ def two_axis_dh():
 def test_geometric_generator_direct_assembly():
     dh = nonabelian_dh(n_grid=64)
     t = np.pi / 4
-    g = geometric_generator(dh, t).dense()
+    g = geometric_generator(dh, t).toarray()
     grid = dh.grid
-    d = derivative_matrix(grid, 0).dense()
+    d = derivative_matrix(grid, 0).toarray()
     a = -np.sin(t) + np.cos(t) * grid.axis(0)
     manual = (-0.5j) * (d * (a[:, None] + a[None, :]))
     assert np.linalg.norm(g - manual) < 1e-12
@@ -107,7 +108,7 @@ def test_geometric_generator_direct_assembly():
 
 def test_geometric_generator_constant_path_is_zero():
     dh = static_dh(n_grid=64)
-    assert np.linalg.norm(geometric_generator(dh, 1.0).dense()) == 0.0
+    assert np.linalg.norm(geometric_generator(dh, 1.0).toarray()) == 0.0
 
 
 def test_geometric_generator_unit_coupling_is_momentum():
@@ -115,8 +116,8 @@ def test_geometric_generator_unit_coupling_is_momentum():
     path = ParameterPath.from_expressions([Var("t")], span=(0.0, 1.0))
     dh = DrivenHamiltonian(bundle, path, P(1, {}),
                            FiberGrid((64,), (5.0,)))
-    g = geometric_generator(dh, 0.5).dense()
-    p_mat = quantize_affine(P.momentum(1, dim=1), dh.grid).dense()
+    g = geometric_generator(dh, 0.5).toarray()
+    p_mat = quantizer(P.momentum(1, dim=1), dh.grid).operator().toarray()
     assert np.linalg.norm(g - p_mat) < 1e-13
 
 
@@ -124,14 +125,14 @@ def test_dynamic_operator_recentered_floor():
     dh = oscillator_dh(n_grid=256)
     for t in (0.0, 2.0, 7.0):
         op = dynamic_operator(dh, t)
-        w = np.linalg.eigvalsh(op.dense())
+        w = np.linalg.eigvalsh(op.toarray())
         assert abs(w[0] - 0.5) < 1e-3
 
 
 def test_dynamic_operator_static_kinetic_cache():
     dh = oscillator_dh(n_grid=64)
-    m0 = dynamic_operator(dh, 0.3).dense()
-    m1 = dynamic_operator(dh, 1.7).dense()
+    m0 = dynamic_operator(dh, 0.3).toarray()
+    m1 = dynamic_operator(dh, 1.7).toarray()
     # the kinetic part is filled the same at every time, and only the
     # potential moves with the path
     gap = m0 - m1
@@ -142,9 +143,9 @@ def test_dynamic_operator_static_kinetic_cache():
 def test_full_generator_is_sum():
     dh = oscillator_dh(n_grid=64)
     t = 0.9
-    total = full_generator(dh, t).dense()
-    parts = (geometric_generator(dh, t).dense()
-             + dynamic_operator(dh, t).dense())
+    total = full_generator(dh, t).toarray()
+    parts = (geometric_generator(dh, t).toarray()
+             + dynamic_operator(dh, t).toarray())
     assert np.array_equal(total, parts)
 
 
@@ -171,7 +172,7 @@ def test_zero_hamiltonian_identity():
     dh = DrivenHamiltonian(bundle, path, P(1, {}), FiberGrid((32,), (3.0,)))
     res = evolve_time_ordered(dh, steps=8)
     assert res.static_collapse
-    assert np.linalg.norm(res.unitary.matrix - np.eye(32)) < 1e-13
+    assert np.linalg.norm(res.unitary - np.eye(32)) < 1e-13
 
 
 def test_static_oscillator_ground_phase():
@@ -187,7 +188,7 @@ def test_static_oscillator_ground_phase():
 
 def test_self_convergence_second_order():
     dh = oscillator_dh(n_grid=64, t1=2.0)
-    us = [evolve_time_ordered(dh, steps=s).unitary.matrix
+    us = [evolve_time_ordered(dh, steps=s).unitary
           for s in (64, 128, 256)]
     c1 = np.linalg.norm(us[1] - us[0])
     c2 = np.linalg.norm(us[2] - us[1])
@@ -250,6 +251,35 @@ def test_window_validation():
         evolve_time_ordered(dh, steps=0)
 
 
+def test_propagate_state_validates_record_every():
+    dh = oscillator_dh(n_grid=32, t1=1.0)
+    ws = WaveSection.gaussian(dh.grid)
+    for every in (0, -2):
+        with pytest.raises(ValueError, match="record_every"):
+            propagate_state(dh, ws, steps=4, record_every=every)
+
+
+def test_public_producers_return_bare_arrays():
+    # quantized operators are CSR arrays; exponentials and their
+    # products are ndarrays
+    dh = oscillator_dh(n_grid=32, t1=1.0)
+    g = dh.grid
+    q = P.affine([Var("q1")], c(0.0), 1)
+    for op in (derivative_matrix(g),
+               quantizer(P(1, {(1, 1): Var("q1")}), g).operator(0.2),
+               quantize_affine_literal(q, g),
+               geometric_generator(dh, 0.3), dynamic_operator(dh, 0.3),
+               full_generator(dh, 0.3),
+               heisenberg_derivative(quantizer(q, g).operator(), dh, 0.3)):
+        assert type(op) is scipy.sparse.csr_array
+        assert op.shape == (g.size, g.size)
+    full = evolve_time_ordered(dh, steps=2)
+    for u in (full.unitary, full.geometric, *split_evolution(dh, full)[:2],
+              geometric_factor(dh, segments=4)):
+        assert type(u) is np.ndarray
+        assert u.shape == (g.size, g.size)
+
+
 # -- geometric factor ----------------------------------------------------
 
 
@@ -259,7 +289,7 @@ def test_flat_loop_constant_coupling_identity():
         [expr("0.5*cos(t)", ["t"]), expr("0.5*sin(t)", ["t"])],
         span=(0.0, TWO_PI), closed=True)
     dh = DrivenHamiltonian(bundle, path, P(1, {}), FiberGrid((64,), (6.0,)))
-    u = geometric_factor(dh, segments=256).matrix
+    u = geometric_factor(dh, segments=256)
     assert np.linalg.norm(u - np.eye(64)) < 1e-8
 
 
@@ -272,7 +302,7 @@ def test_flat_loop_general_route_identity():
         [expr("0.5*cos(t)", ["t"]), expr("0.5*sin(t)", ["t"])],
         span=(0.0, TWO_PI), closed=True)
     dh = DrivenHamiltonian(bundle, path, P(1, {}), FiberGrid((64,), (6.0,)))
-    u = geometric_factor(dh, segments=128).matrix
+    u = geometric_factor(dh, segments=128)
     assert np.linalg.norm(u - np.eye(64)) < 1e-8
 
 
@@ -281,7 +311,7 @@ def test_geometric_translation():
     path = ParameterPath.from_expressions([Var("t")], span=(0.0, 0.8))
     grid = FiberGrid((512,), (10.0,))
     dh = DrivenHamiltonian(bundle, path, P(1, {}), grid)
-    u = geometric_factor(dh, segments=64).matrix
+    u = geometric_factor(dh, segments=64)
     ws = WaveSection.gaussian(grid, center=-1.0, width=1.0)
     shifted = u @ ws.values
     x = grid.axis(0)
@@ -296,15 +326,15 @@ def test_geometric_translation():
 
 def test_loop_composition_aligned():
     dh = nonabelian_dh(n_grid=48)
-    full = geometric_factor(dh, segments=64).matrix
-    first = geometric_factor(dh, t_end=np.pi, segments=32).matrix
-    second = geometric_factor(dh, t_start=np.pi, segments=32).matrix
+    full = geometric_factor(dh, segments=64)
+    first = geometric_factor(dh, t_end=np.pi, segments=32)
+    second = geometric_factor(dh, t_start=np.pi, segments=32)
     assert np.linalg.norm(full - second @ first) < 1e-12
 
 
 def test_nonabelian_holonomy_nontrivial_and_second_order():
     dh = nonabelian_dh(n_grid=96)
-    us = [geometric_factor(dh, segments=s).matrix for s in (128, 256, 512)]
+    us = [geometric_factor(dh, segments=s) for s in (128, 256, 512)]
     eye = np.eye(96)
     assert np.linalg.norm(us[-1] - eye) > 1e-2
     c1 = np.linalg.norm(us[1] - us[0])
@@ -318,8 +348,8 @@ def test_reparametrization_invariance_coarse():
                 ["t"])
     warped = DrivenHamiltonian(dh.bundle, reparametrize_path(dh.path, warp),
                                dh.hamiltonian, dh.grid)
-    u0 = geometric_factor(dh, segments=512).matrix
-    u1 = geometric_factor(warped, segments=512).matrix
+    u0 = geometric_factor(dh, segments=512)
+    u1 = geometric_factor(warped, segments=512)
     assert np.linalg.norm(u0 - u1) < 5e-3
 
 
@@ -333,8 +363,9 @@ def expm_transport(dh, segments):
         obs = P(dh.grid.dim, {
             (k + 1,): sum(float(w) * lam for w, lam in zip(dsig, row))
             for k, row in enumerate(dh.bundle.sigma_coupling)})
-        h = quantize_affine(obs, dh.grid, 0.5 * (times[j] + times[j + 1]),
-                            0.5 * (sig[j] + sig[j + 1])).dense()
+        h = quantizer(obs, dh.grid).operator(
+            0.5 * (times[j] + times[j + 1]),
+            0.5 * (sig[j] + sig[j + 1])).toarray()
         u = scipy.linalg.expm(-1j * h) @ u
     return u
 
@@ -348,7 +379,7 @@ def test_transport_product_matches_expm(n_grid, segments):
     # at N = 256 two segments have ||h||_1 far above TRANSPORT_SUBSTEP_NORM,
     # so the product only converges through substeps
     dh = nonabelian_dh(n_grid=n_grid)
-    u = geometric_factor(dh, segments=segments).matrix
+    u = geometric_factor(dh, segments=segments)
     assert np.linalg.norm(u - expm_transport(dh, segments)) < 1e-11
     assert unitarity_defect(u) <= 1e-12
 
@@ -358,7 +389,7 @@ def literal_rows(dh):
     assembly, which is not Hermitian once the drift varies in q."""
     def rows(q, t, sigma, rate):
         for row in zip(t, sigma, rate):
-            yield quantize_affine_literal(dh.geometric, dh.grid, *row).matrix
+            yield quantize_affine_literal(dh.geometric, dh.grid, *row)
     return rows
 
 
@@ -383,7 +414,7 @@ def test_transport_product_keeps_hermiticity_gate(monkeypatch):
 @given(slope=st.floats(0.2, 1.0), radius=st.floats(0.3, 1.0))
 def test_loop_factor_unitary_and_matches_expm(slope, radius):
     dh = sheared_loop_dh(slope, radius)
-    u = geometric_factor(dh, segments=32).matrix
+    u = geometric_factor(dh, segments=32)
     assert unitarity_defect(u) <= 1e-12
     assert np.linalg.norm(u - expm_transport(dh, 32)) < 1e-11
 
@@ -399,8 +430,8 @@ def test_loop_factor_invariant_under_monotone_warp(size, sign, slope,
     warp = expr(f"t + {sign * size!r}*t*({TWO_PI!r} - t)/{TWO_PI!r}", ["t"])
     warped = DrivenHamiltonian(dh.bundle, reparametrize_path(dh.path, warp),
                                dh.hamiltonian, dh.grid)
-    gap = [np.linalg.norm(geometric_factor(dh, segments=s).matrix
-                          - geometric_factor(warped, segments=s).matrix)
+    gap = [np.linalg.norm(geometric_factor(dh, segments=s)
+                          - geometric_factor(warped, segments=s))
            for s in (32, 64)]
     assert 3.5 <= gap[0] / gap[1] <= 4.5
 
@@ -573,7 +604,7 @@ def expm_steps(q, dh, times):
     for j in range(len(times) - 1):
         h = q.operator(0.5 * (times[j] + times[j + 1]),
                        0.5 * (sig[j] + sig[j + 1]),
-                       (sig[j + 1] - sig[j]) / dt).dense()
+                       (sig[j + 1] - sig[j]) / dt).toarray()
         u = scipy.linalg.expm(-1j * dt * h) @ u
     return u
 
@@ -605,8 +636,8 @@ def test_dense_pass_matches_expm_product(amp, freq, kin, wobble, coupling,
     for dh in (one, two, static):
         full = evolve_time_ordered(dh, steps)
         assert full.static_collapse == (dh is static)
-        u_dyn = split_evolution(dh, full)[1].matrix
-        for u, q in ((full.unitary.matrix, dh.full_quantizer),
+        u_dyn = split_evolution(dh, full)[1]
+        for u, q in ((full.unitary, dh.full_quantizer),
                      (u_dyn, dh.dynamic_quantizer)):
             assert np.linalg.norm(u - expm_steps(q, dh, full.times)) <= 1e-11
             assert unitarity_defect(u) <= 1e-12
@@ -672,7 +703,7 @@ def assert_propagation_matches_dense(dh, steps):
     # coupling operator at unit rate, and the column is its unwrapped
     # angle on the initial state
     a = dh.geometric_quantizer.operator(0.0, dh.path.value(0.0),
-                                        np.ones(1)).dense()
+                                        np.ones(1)).toarray()
     w, v = np.linalg.eigh(a)
     weights = np.abs(v.conj().T @ ws.values) ** 2
     shift = dh.path.values(traj.times)[:, 0] - dh.path.value(traj.times[0])
@@ -750,11 +781,11 @@ def test_hot_loops_make_no_per_step_quantize_affine(monkeypatch):
 
 def test_heisenberg_canonical_relation():
     dh = static_dh(n_grid=512, half_width=8.0)
-    q_op = quantize_affine(P.affine([c(0.0)], Var("q1"), 1), dh.grid)
-    p_op = quantize_affine(P.momentum(1, dim=1), dh.grid)
+    q_op = quantizer(P.affine([c(0.0)], Var("q1"), 1), dh.grid).operator()
+    p_op = quantizer(P.momentum(1, dim=1), dh.grid).operator()
     deriv = heisenberg_derivative(q_op, dh, 0.0)
     ws = WaveSection.gaussian(dh.grid, center=0.4, width=1.0, momentum=0.3)
-    resid = deriv.apply(ws).values - p_op.apply(ws).values
+    resid = deriv @ ws.values - p_op @ ws.values
     assert np.linalg.norm(resid) / np.linalg.norm(ws.values) < 1e-3
 
 

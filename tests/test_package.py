@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import leafquant
 
 PACKAGE_DIR = Path(leafquant.__file__).parent
@@ -26,13 +28,16 @@ def test_every_export_resolves():
         assert hasattr(leafquant, name), f"leafquant.{name}"
 
 
-def test_import_leaves_scipy_interpolate_unloaded():
-    # only a path built from sampled knots needs the spline module
+@pytest.mark.parametrize("module", ["scipy.interpolate",
+                                    "scipy.sparse.linalg", "scipy.linalg"])
+def test_import_leaves_scipy_interpolate_unloaded(module):
+    # only a path built from sampled knots needs the spline module, and
+    # no module of the package needs the sparse or dense solvers
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, leafquant; print('scipy.interpolate' in sys.modules)"],
+         f"import sys, leafquant; print({module!r} in sys.modules)"],
         capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "False"
