@@ -70,6 +70,10 @@ def _cmd_run(args) -> int:
     except RunError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:
+        print(f"error: cannot write the output directory: {exc}",
+              file=sys.stderr)
+        return EXIT_VALIDATION
     print(f"scenario {report.scenario}: {report.rows} rows, "
           f"unitarity defect {report.unitarity_defect:.3e}")
     print(f"  phase total {report.phases['total']:+.6f}  "
@@ -116,10 +120,14 @@ def _cmd_preset(args) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    target = out / f"{args.name}.json"
-    target.write_text(text)
+    target = Path(args.out) / f"{args.name}.json"
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(text)
+    except OSError as exc:
+        print(f"error: cannot write the output directory: {exc}",
+              file=sys.stderr)
+        return EXIT_VALIDATION
     print(f"wrote {target}")
     return EXIT_OK
 

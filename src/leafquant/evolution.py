@@ -16,14 +16,24 @@ first use, and everything else binds numbers into these:
   binds through ``_steps``: the step midpoint t, the mean s of sigma
   at the step's ends and v = delta sigma / dt.  G is linear in v, so
   dt G(v) = G(delta sigma): only the traced image enters the
-  transport, a commuting family telescopes, and a step of H* carries
-  exactly its segment's increment, so a commuting split closes.
-- The classical flow is the Hamiltonian vector field of H*.
+  transport, and a step of H* carries exactly its segment's
+  increment, so a commuting split closes.
+- A commuting family (``_commuting_family``: couplings in q alone, and
+  one parameter or constant couplings) has unit-rate couplings A_lam
+  with one joint real eigenbasis V and eigenvalue rows W
+  (``DrivenHamiltonian.commuting_basis``, one ``_eigh`` per
+  ``DrivenHamiltonian``).  Its transport to any time depends only on
+  the increment delta sigma and is S^dagger V diag(exp(-i delta sigma
+  . W)) V^T S in closed form.
+- The classical flow is the Hamiltonian vector field of H*, its
+  coefficients compiled once per ``DrivenHamiltonian``
+  (``classical_field``).
 
 ``_steps`` reads the path once per call, at a window's times;
 ``_rows`` fills blocks of at most ``BLOCK_BYTES`` of complex entries
-and points one reused CSR array at each row.  The classical flow reads the path at all its RK4
-stage times at once.
+and points one reused CSR array at each row.  The classical flow reads
+the path at all its RK4 stage times at once and binds each stage as one
+dict of Python floats.
 
 The dense pass forms U and the transport product U_geo once per window;
 the split reads both and forms only U_dyn.  U and U_dyn are products of
@@ -36,20 +46,23 @@ passes the one gate (``_gated_dense``, relative hermiticity defect at
 most ``HERMITICITY_STEP_TOL``), the gauged matrix must be exactly real,
 and its eigenvectors V are real.  The step
 product keeps U and the carried state in the gauged basis and applies
-each step as V (e * (V^T x)) through real GEMMs; the telescoped
-transport of a commuting family forms V diag(e) V^T once.  The
+each step as V (e * (V^T x)) through real GEMMs; the transport of a
+commuting family forms V diag(e) V^T of its joint basis once.  The
 geometric phase, fine-step column and coarse value alike, is the
 unwrapped angle of the initial state carried through the transport
-segments over the times asked for (``_transport_phases``).
+segments over the times asked for (``_transport_phases``); for a
+commuting family that angle is read from the joint basis, as
+arg sum_k |a_k|^2 exp(-i (sigma_j - sigma_0) . W_k) with a = V^T S psi0.
 
 Small exponentials are applied, not formed: one adaptive Taylor series
 of sparse products acts on a state (the fine-step state propagator, on
 the same per-step generators the dense pass builds, and the state
-carried through the transport segments) or on an N x N block (the
-transport product, whose running factor starts at the identity).
-A transport segment whose one-norm bound exceeds
-``TRANSPORT_SUBSTEP_NORM`` is cut into equal substeps of the same
-generator; a state step too large for the series raises instead.
+carried through the transport segments of a non-commuting family) or
+on an N x N block (the transport product of a non-commuting family,
+whose running factor starts at the identity).  A transport segment
+whose one-norm bound exceeds ``TRANSPORT_SUBSTEP_NORM`` is cut into
+equal substeps of the same generator; a state step too large for the
+series raises instead.
 Generators are the quantizers' ``csr_array``s throughout, and the
 pointwise ones are returned as such; a dense step makes its generator
 a dense array once, for the Hermiticity gate and, gauged to a real
@@ -128,6 +141,9 @@ SPLIT_TOL = 1e-8
 # bytes of complex generator data filled at once: a long window is
 # sampled in blocks of rows, so it adds little to peak memory
 BLOCK_BYTES = 1 << 20
+# times of a commuting family's phase column taken at once: the column's
+# exponential table then holds at most this many rows of N entries
+PHASE_BLOCK_ROWS = 64
 
 
 @dataclass
@@ -137,8 +153,9 @@ class DrivenHamiltonian:
     Construction builds the observables ``geometric`` (G), ``dynamic``
     (H' = H plus the frame drift) and ``star`` (H* = G + H') once, over
     the rate variables v1..vm; ``geometric_quantizer``,
-    ``dynamic_quantizer`` and ``full_quantizer`` (of H*) are built on
-    first use.
+    ``dynamic_quantizer``, ``full_quantizer`` (of H*), the joint
+    eigenbasis ``commuting_basis`` of a commuting family's couplings and
+    the compiled ``classical_field`` of H* are built on first use.
     """
 
     bundle: BundleModel
@@ -195,6 +212,19 @@ class DrivenHamiltonian:
     @cached_property
     def full_quantizer(self) -> Quantizer:
         return quantizer(self.star, self.grid, self.cover, self.ordering)
+
+    @cached_property
+    def commuting_basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """(V, W) of ``_commuting_basis``."""
+        return _commuting_basis(self)
+
+    @cached_property
+    def classical_field(self) -> tuple:
+        """The 2n components of H*'s Hamiltonian vector field, dq then
+        dp, each as (compiled coefficient, momentum index) pairs."""
+        field = hamiltonian_vector_field(self.star)
+        return tuple(tuple((c.compiled, idx) for idx, c in f.terms.items())
+                     for f in (*field.dq, *field.dp))
 
 
 def geometric_generator(dh: DrivenHamiltonian, t: float) -> sp.csr_array:
@@ -309,6 +339,20 @@ def _is_static(dh: DrivenHamiltonian) -> bool:
     return dh.path.is_constant()
 
 
+def _commuting_family(dh: DrivenHamiltonian) -> bool:
+    """True when the transport generators commute with each other at
+    every point, so the increments telescope.
+
+    Read from the definitions: the couplings depend on q alone, and
+    there is one parameter or every coupling component is constant.
+    """
+    qvars = {f"q{k}" for k in range(1, dh.grid.dim + 1)}
+    return dh._coupling_free <= qvars and (
+        dh.bundle.n_parameters == 1
+        or all(isinstance(c, Const) for row in dh.bundle.sigma_coupling
+               for c in row))
+
+
 def _gated_dense(h: sp.csr_array):
     """h as an ndarray and its relative hermiticity defect, at most
     HERMITICITY_STEP_TOL: the one gate on a generator."""
@@ -337,7 +381,10 @@ def _eigh(h: sp.csr_array, grid: FiberGrid):
         raise RuntimeError(
             "gauged step generator is not real (largest imaginary part "
             f"{np.abs(m.imag).max():.3e})")
-    w, v = np.linalg.eigh(m.real)
+    # the complex array is released before LAPACK's workspace is taken
+    real = m.real.copy()
+    del m
+    w, v = np.linalg.eigh(real)
     return w, v, defect
 
 
@@ -469,13 +516,69 @@ def _segments(dh: DrivenHamiltonian, times: np.ndarray):
         yield h, dt / substeps, substeps
 
 
+def _commuting_basis(dh: DrivenHamiltonian):
+    """(V, W) with S A_lam S^dagger = V diag(W[lam]) V^T for every
+    unit-rate coupling A_lam (G bound at v = e_lam) of a commuting
+    family, V real orthogonal.
+
+    V is the ``_eigh`` basis of sum_lam pi^(1 - lam) A_lam: the first
+    weight is 1, so one parameter decomposes A itself, and the others
+    are transcendental, so joint eigenspaces of distinct eigenvalue rows
+    do not meet.  W[lam] holds the diagonal of V^T S A_lam S^dagger V,
+    formed from the sparse product of A_lam's gauged data with V, and
+    the residual S A_lam S^dagger V - V diag(W[lam]), the off-diagonal
+    part in Frobenius norm, must stay within COMMUTING_THRESHOLD of
+    A_lam.  The combination passes the gate of ``_eigh``, and the
+    residual bounds each A_lam's hermiticity defect by twice as much.
+    Every row is filled through ``_rows``; the couplings of a commuting
+    family depend on q alone, so t and s bind to zero.
+    """
+    m, s = dh.bundle.n_parameters, _gauge(dh.grid)
+    rate = np.vstack([np.pi ** -np.arange(m), np.eye(m)])
+    zeros = np.zeros((m + 1, m))
+    rows = _rows(dh.geometric_quantizer, zeros[:, 0], zeros, rate)
+    _, v, _ = _eigh(next(rows), dh.grid)
+    w = np.empty((m, len(v)))
+    for lam, h in enumerate(rows):
+        row = np.repeat(np.arange(len(v)), np.diff(h.indptr))
+        data = h.data * s[row] * s.conj()[h.indices]
+        if np.any(data.imag):
+            raise RuntimeError(f"gauged coupling {lam + 1} is not real")
+        a = sp.csr_array((data.real, h.indices, h.indptr), shape=h.shape)
+        av = a @ v
+        w[lam] = np.einsum("ij,ij->j", v, av)
+        residual = np.linalg.norm(av - v * w[lam])
+        if residual > COMMUTING_THRESHOLD * np.linalg.norm(data.real):
+            raise RuntimeError(
+                f"coupling {lam + 1} is not diagonal in the joint basis "
+                f"(off-diagonal norm {residual:.3e})")
+    return v, w
+
+
 def _transport_phases(dh: DrivenHamiltonian, times: np.ndarray,
                       psi0: np.ndarray) -> np.ndarray:
     """Unwrapped arg<psi0|psi_j> of ``psi0`` carried through the
     transport segments over ``times``: the geometric phase at each time,
-    zero throughout on a constant path."""
+    zero throughout on a constant path.
+
+    A commuting family's transport to time j is S^dagger V diag(exp(-i
+    c_j . W)) V^T S (``commuting_basis``) with c_j = sigma_j - sigma_0,
+    so <psi0|psi_j> = sum_k |a_k|^2 exp(-i c_j . W_k) with a = V^T S
+    psi0, taken PHASE_BLOCK_ROWS times at once.  Any other family
+    carries psi0 through every segment with a Taylor series.
+    """
     if dh.path.is_constant():
         return np.zeros(len(times))
+    if _commuting_family(dh):
+        v, w = dh.commuting_basis
+        x = _gauge(dh.grid) * psi0
+        weights = (v.T @ x.real) ** 2 + (v.T @ x.imag) ** 2
+        sig = dh.path.values(times)
+        c = sig - sig[0]
+        overlaps = np.concatenate([
+            np.exp(-1j * (c[lo:lo + PHASE_BLOCK_ROWS] @ w)) @ weights
+            for lo in range(0, len(times), PHASE_BLOCK_ROWS)])
+        return np.unwrap(np.angle(overlaps))
     psi, args = psi0, [0.0]
     for h, tau, substeps in _segments(dh, times):
         for _ in range(substeps):
@@ -488,19 +591,17 @@ def _geometric_product(dh: DrivenHamiltonian, times: np.ndarray):
     """Ordered product U_geo of the transport segments over ``times``.
 
     A constant path has zero increments, so U_geo is the identity; a
-    commuting family telescopes to one exponential.
+    commuting family telescopes to S^dagger V diag(exp(-i delta sigma .
+    W)) V^T S of its ``commuting_basis``, delta sigma the window's
+    increment.
     """
     if dh.path.is_constant():
         return np.eye(dh.grid.size, dtype=complex)
-    qvars = {f"q{k}" for k in range(1, dh.grid.dim + 1)}
-    abelian = dh._coupling_free <= qvars and (
-        dh.bundle.n_parameters == 1
-        or all(isinstance(c, Const) for row in dh.bundle.sigma_coupling
-               for c in row))
-    if abelian:
-        # One commuting family: the increments telescope exactly.
-        span, rows = _steps(dh, times[[0, -1]], dh.geometric_quantizer)
-        return _step_unitary(next(rows), span, dh.grid)[0]
+    if _commuting_family(dh):
+        v, w = dh.commuting_basis
+        sig = dh.path.values(times[[0, -1]])
+        e = np.exp(-1j * ((sig[1] - sig[0]) @ w))
+        return _ungauged(_exponential(v, e), dh.grid)
 
     # each small increment acts on the running product, so no segment
     # exponential is formed
@@ -531,20 +632,9 @@ def geometric_factor(dh: DrivenHamiltonian, t_end: float | None = None,
     return _geometric_product(dh, times)
 
 
-def split_evolution(dh: DrivenHamiltonian, full: EvolutionResult):
-    """Factor the dense pass ``full`` (of ``dh``) as U_geo U_dyn.
-
-    ``full`` carries U and U_geo; only U_dyn, the step product of H'
-    over the same times, is formed here.  Returns (U_geo, U_dyn,
-    SplitReport): the largest relative commutator norm of G and H' at
-    SPLIT_SAMPLES even steps (``_steps``), and the factorization
-    defect, held to SPLIT_TOL when the family commutes.
-    """
-    if full.unitary.shape != (dh.grid.size,) * 2:
-        raise ValueError("dense result lives on a different grid")
-    times = full.times
-    u_dyn = _step_product(dh.dynamic_quantizer, dh, times,
-                          full.static_collapse)[0]
+def _commutator_max(dh: DrivenHamiltonian, times: np.ndarray) -> float:
+    """Largest relative commutator norm of G and H' at SPLIT_SAMPLES
+    even steps of the window ``times`` (``_steps``)."""
     comm_max = 0.0
     ts = np.linspace(times[0], times[-1], SPLIT_SAMPLES + 1)
     _, geo, dyn = _steps(dh, ts, dh.geometric_quantizer, dh.dynamic_quantizer)
@@ -557,6 +647,26 @@ def split_evolution(dh: DrivenHamiltonian, full: EvolutionResult):
         # order in which the norm sums them
         c.sum_duplicates()
         comm_max = max(comm_max, np.linalg.norm(c.data) / (ng * nh))
+    return comm_max
+
+
+def split_evolution(dh: DrivenHamiltonian, full: EvolutionResult):
+    """Factor the dense pass ``full`` (of ``dh``) as U_geo U_dyn.
+
+    ``full`` carries U and U_geo; only U_dyn, the step product of H'
+    over the same times, is formed here.  Returns (U_geo, U_dyn,
+    SplitReport): the largest relative commutator norm of G and H' at
+    SPLIT_SAMPLES even steps (``_steps``), and the factorization
+    defect, held to SPLIT_TOL when the family commutes.
+    """
+    if full.unitary.shape != (dh.grid.size,) * 2:
+        raise ValueError("dense result lives on a different grid")
+    times = full.times
+    # the samples come first, so their blocks of generator data are
+    # released before U_dyn's N x N product is formed
+    comm_max = _commutator_max(dh, times)
+    u_dyn = _step_product(dh.dynamic_quantizer, dh, times,
+                          full.static_collapse)[0]
     defect = float(np.linalg.norm(full.unitary - full.geometric @ u_dyn))
     commuting = bool(comm_max <= COMMUTING_THRESHOLD)
     if commuting and defect > SPLIT_TOL:
@@ -710,51 +820,72 @@ def classical_hamilton_flow(dh: DrivenHamiltonian, initial: ClassicalState,
     """Fixed-step 4th-order Runge-Kutta flow of the driven Hamiltonian.
 
     The vector field is the Hamiltonian vector field of H*, with exact
-    symbolic partials: dq_k/dt = dH*/dp_k, dp_k/dt = -dH*/dq_k.  Each
-    stage evaluates it at its clock time t with s = sigma(t) and the
-    rates v = sigma'(t) bound numerically; sigma and sigma' are read at
-    every stage time of the window at once.
+    symbolic partials: dq_k/dt = dH*/dp_k, dp_k/dt = -dH*/dq_k, compiled
+    once per ``DrivenHamiltonian`` (``classical_field``).  Each stage
+    binds its clock time t, s = sigma(t), the rates v = sigma'(t) and q
+    as Python floats in one dict; sigma and sigma' are read at every
+    stage time of the window at once.  The arithmetic is that of
+    ``PolynomialObservable.evaluate`` term by term, and a non-finite
+    coefficient or state ends the flow as it does there.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
     t0, t1 = _resolve_span(dh, t_start, t_end)
-    n = dh.grid.dim
+    n, m = dh.grid.dim, dh.bundle.n_parameters
     q0 = np.asarray(initial.q, float)
     if q0.shape != (n,):
         raise ValueError(f"initial state needs {n} coordinates")
-    field = hamiltonian_vector_field(dh.star)
-    components = (*field.dq, *field.dp)
+    field = dh.classical_field
+    names = ("t", *(f"s{i}" for i in range(1, m + 1)),
+             *(f"v{i}" for i in range(1, m + 1)),
+             *(f"q{k}" for k in range(1, n + 1)))
 
     dt = (t1 - t0) / steps
     times = np.linspace(t0, t1, steps + 1)
-    # stage times t, t + dt/2 and t + dt of every step, as rows
+    # stage times t, t + dt/2 and t + dt of every step, as rows, each
+    # with its sigma and sigma'
     stage_t = np.stack([times[:-1], times[:-1] + 0.5 * dt, times[:-1] + dt])
-    stage_sig = dh.path.values(stage_t.ravel()).reshape(3, steps, -1)
-    stage_rate = dh.path.velocities(stage_t.ravel()).reshape(3, steps, -1)
+    stages = np.concatenate([
+        stage_t[..., None],
+        dh.path.values(stage_t.ravel()).reshape(3, steps, -1),
+        dh.path.velocities(stage_t.ravel()).reshape(3, steps, -1)], axis=2)
 
-    def rhs(stage, j, y):
-        q, p = y[:n], y[n:]
-        t, sigma, rate = (stage_t[stage, j], stage_sig[stage, j],
-                          stage_rate[stage, j])
-        return np.array([f.evaluate(t, sigma, q, p, rate)
-                         for f in components])
+    def rhs(stage, y):
+        binding = dict(zip(names, stage + y[:n]))
+        p = y[n:]
+        out = []
+        for terms in field:
+            total = 0.0
+            for coefficient, idx in terms:
+                c = coefficient(binding)
+                if not math.isfinite(c):
+                    raise EvaluationError("non-finite vector field")
+                mono = 1.0
+                for i in idx:
+                    mono = mono * p[i - 1]
+                total = total + c * mono
+            out.append(total)
+        return out
 
     ys = np.empty((steps + 1, 2 * n))
     ys[0] = np.concatenate([q0, np.asarray(initial.p, float)])
-    y = ys[0]
-    for j in range(steps):
-        t = times[j]
-        try:
-            k1 = rhs(0, j, y)
-            k2 = rhs(1, j, y + 0.5 * dt * k1)
-            k3 = rhs(1, j, y + 0.5 * dt * k2)
-            k4 = rhs(2, j, y + dt * k3)
-        except EvaluationError as exc:
-            raise ValueError(
-                f"classical flow diverged at t = {t:.6g}") from exc
-        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise ValueError(
-                f"classical flow diverged at t = {times[j + 1]:.6g}")
-        ys[j + 1] = y
+    y = ys[0].tolist()
+    half, sixth = 0.5 * dt, dt / 6.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(steps):
+            start, mid, end = stages[:, j].tolist()
+            try:
+                k1 = rhs(start, y)
+                k2 = rhs(mid, [a + half * k for a, k in zip(y, k1)])
+                k3 = rhs(mid, [a + half * k for a, k in zip(y, k2)])
+                k4 = rhs(end, [a + dt * k for a, k in zip(y, k3)])
+            except (ZeroDivisionError, OverflowError, EvaluationError) as exc:
+                raise ValueError(
+                    f"classical flow diverged at t = {times[j]:.6g}") from exc
+            y = [a + sixth * (b1 + 2 * b2 + 2 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+            if not all(map(math.isfinite, y)):
+                raise ValueError(
+                    f"classical flow diverged at t = {times[j + 1]:.6g}")
+            ys[j + 1] = y
     return ClassicalTrajectory(times, ys[:, :n].copy(), ys[:, n:].copy())

@@ -5,7 +5,8 @@ paths are written in a tiny arithmetic language over named real variables
 (``t``, ``s1..sm``, ``q1..qn`` by convention, plus user constants).  The
 module provides parsing with byte-accurate error offsets, exact symbolic
 differentiation, pointwise or numpy-vectorized evaluation, substitution,
-and printing that round-trips through the parser.
+and printing that round-trips through the parser.  Each tree evaluates
+through one closure, compiled once from its nodes (``compiled``).
 
 Grammar::
 
@@ -32,6 +33,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Union
 
 import numpy as np
@@ -92,7 +94,9 @@ def _as_expr(value) -> "Expression":
 
 
 class Expression:
-    """Immutable expression tree node.  Subclasses implement the walkers."""
+    """Immutable expression tree node.  Subclasses implement the walkers
+    and ``_compile``, which builds the node's closure over its
+    children's."""
 
     __slots__ = ()
 
@@ -157,7 +161,7 @@ class Expression:
         """
         try:
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                out = self._eval(binding)
+                out = self.compiled(binding)
         except (ZeroDivisionError, OverflowError) as exc:
             raise EvaluationError(
                 f"{exc} while evaluating '{self.to_source()}'") from None
@@ -173,7 +177,13 @@ class Expression:
             return float(out)
         return out
 
-    def _eval(self, binding):
+    @cached_property
+    def compiled(self):
+        """This tree as one function of a binding, built once: the
+        arithmetic of ``evaluate`` without its error state or checks."""
+        return self._compile()
+
+    def _compile(self):
         raise NotImplementedError
 
     def substitute(self, mapping: Mapping[str, "Expression | Number"]) -> "Expression":
@@ -205,8 +215,9 @@ class Const(Expression):
     def diff(self, var):
         return _ZERO
 
-    def _eval(self, binding):
-        return self.value
+    def _compile(self):
+        value = self.value
+        return lambda binding: value
 
     def substitute(self, mapping):
         return self
@@ -225,11 +236,15 @@ class Var(Expression):
     def diff(self, var):
         return _ONE if var == self.name else _ZERO
 
-    def _eval(self, binding):
-        try:
-            return binding[self.name]
-        except KeyError:
-            raise UnboundVariableError(self.name) from None
+    def _compile(self):
+        name = self.name
+
+        def var(binding):
+            try:
+                return binding[name]
+            except KeyError:
+                raise UnboundVariableError(name) from None
+        return var
 
     def substitute(self, mapping):
         if self.name in mapping:
@@ -250,8 +265,9 @@ class Neg(Expression):
     def diff(self, var):
         return neg(self.operand.diff(var))
 
-    def _eval(self, binding):
-        return -self.operand._eval(binding)
+    def _compile(self):
+        f = self.operand.compiled
+        return lambda binding: -f(binding)
 
     def substitute(self, mapping):
         return neg(self.operand.substitute(mapping))
@@ -273,8 +289,9 @@ class Add(Expression):
     def diff(self, var):
         return add(self.left.diff(var), self.right.diff(var))
 
-    def _eval(self, binding):
-        return self.left._eval(binding) + self.right._eval(binding)
+    def _compile(self):
+        f, g = self.left.compiled, self.right.compiled
+        return lambda binding: f(binding) + g(binding)
 
     def substitute(self, mapping):
         return add(self.left.substitute(mapping), self.right.substitute(mapping))
@@ -295,8 +312,9 @@ class Sub(Expression):
     def diff(self, var):
         return sub(self.left.diff(var), self.right.diff(var))
 
-    def _eval(self, binding):
-        return self.left._eval(binding) - self.right._eval(binding)
+    def _compile(self):
+        f, g = self.left.compiled, self.right.compiled
+        return lambda binding: f(binding) - g(binding)
 
     def substitute(self, mapping):
         return sub(self.left.substitute(mapping), self.right.substitute(mapping))
@@ -319,8 +337,9 @@ class Mul(Expression):
         return add(mul(self.left.diff(var), self.right),
                    mul(self.left, self.right.diff(var)))
 
-    def _eval(self, binding):
-        return self.left._eval(binding) * self.right._eval(binding)
+    def _compile(self):
+        f, g = self.left.compiled, self.right.compiled
+        return lambda binding: f(binding) * g(binding)
 
     def substitute(self, mapping):
         return mul(self.left.substitute(mapping), self.right.substitute(mapping))
@@ -343,8 +362,9 @@ class Div(Expression):
                   mul(self.left, self.right.diff(var)))
         return div(num, mul(self.right, self.right))
 
-    def _eval(self, binding):
-        return self.left._eval(binding) / self.right._eval(binding)
+    def _compile(self):
+        f, g = self.left.compiled, self.right.compiled
+        return lambda binding: f(binding) / g(binding)
 
     def substitute(self, mapping):
         return div(self.left.substitute(mapping), self.right.substitute(mapping))
@@ -369,11 +389,11 @@ class Pow(Expression):
         return mul(mul(Const(float(n)), pow_int(self.base, n - 1)),
                    self.base.diff(var))
 
-    def _eval(self, binding):
+    def _compile(self):
         # one numeric route for scalar and array bases, so a scalar read
         # agrees to the bit with the same point of a vectorized one
-        base = np.asarray(self.base._eval(binding), dtype=float)
-        return base ** self.exponent
+        f, n = self.base.compiled, self.exponent
+        return lambda binding: np.asarray(f(binding), dtype=float) ** n
 
     def substitute(self, mapping):
         return pow_int(self.base.substitute(mapping), self.exponent)
@@ -404,8 +424,9 @@ class Call(Expression):
         outer = _UNARY[self.func][1](self.arg)
         return mul(outer, self.arg.diff(var))
 
-    def _eval(self, binding):
-        return _UNARY[self.func][0](self.arg._eval(binding))
+    def _compile(self):
+        fn, f = _UNARY[self.func][0], self.arg.compiled
+        return lambda binding: fn(f(binding))
 
     def substitute(self, mapping):
         return Call(self.func, self.arg.substitute(mapping))
@@ -429,8 +450,9 @@ class Root(Expression):
         outer = div(self, mul(Const(float(self.index)), self.arg))
         return mul(outer, self.arg.diff(var))
 
-    def _eval(self, binding):
-        return np.asarray(self.arg._eval(binding)) ** (1.0 / self.index)
+    def _compile(self):
+        f, power = self.arg.compiled, 1.0 / self.index
+        return lambda binding: np.asarray(f(binding)) ** power
 
     def substitute(self, mapping):
         return Root(self.arg.substitute(mapping), self.index)
@@ -462,26 +484,31 @@ class Bump(Expression):
         bumped = Bump(self.arg, self.center, self.radius, self.order + 1)
         return mul(bumped, self.arg.diff(var))
 
-    def _eval(self, binding):
-        x = np.asarray(self.arg._eval(binding), dtype=float)
-        u = (x - self.center) / self.radius
-        out = np.zeros_like(u)
-        inside = np.abs(u) < 1.0
-        if np.any(inside):
-            ui = u[inside]
-            g = np.exp(1.0 - 1.0 / (1.0 - ui * ui))
-            if self.order == 0:
-                out[inside] = g
-            else:
-                vals = np.zeros_like(g)
-                live = g > 0.0
-                if np.any(live):
-                    pref = _bump_prefactor(self.order)
-                    vals[live] = g[live] * pref.evaluate({"u": ui[live]})
-                out[inside] = vals * self.radius ** (-self.order)
-        if np.ndim(x) == 0:
-            return float(out[()])
-        return out
+    def _compile(self):
+        f, center, radius, order = (self.arg.compiled, self.center,
+                                    self.radius, self.order)
+        pref = _bump_prefactor(order)
+
+        def bump(binding):
+            x = np.asarray(f(binding), dtype=float)
+            u = (x - center) / radius
+            out = np.zeros_like(u)
+            inside = np.abs(u) < 1.0
+            if np.any(inside):
+                ui = u[inside]
+                g = np.exp(1.0 - 1.0 / (1.0 - ui * ui))
+                if order == 0:
+                    out[inside] = g
+                else:
+                    vals = np.zeros_like(g)
+                    live = g > 0.0
+                    if np.any(live):
+                        vals[live] = g[live] * pref.evaluate({"u": ui[live]})
+                    out[inside] = vals * radius ** (-order)
+            if np.ndim(x) == 0:
+                return float(out[()])
+            return out
+        return bump
 
     def substitute(self, mapping):
         return Bump(self.arg.substitute(mapping), self.center, self.radius,

@@ -475,8 +475,12 @@ def hermiticity_defect(h: sp.csr_array) -> float:
 
 
 def _relative_defect(m: np.ndarray) -> float:
-    gap = np.linalg.norm(m - m.conj().T)
-    return float(gap / max(1.0, np.linalg.norm(m)))
+    # m - m^dagger formed in one C-ordered temporary: the norm then sums
+    # in the same order as over a fresh difference, and the gate adds
+    # one N x N array to peak memory, not two
+    gap = np.conjugate(m.T, order="C")
+    np.subtract(m, gap, out=gap)
+    return float(np.linalg.norm(gap) / max(1.0, np.linalg.norm(m)))
 
 
 def expectation_value(h: sp.csr_array, ws: WaveSection) -> float:

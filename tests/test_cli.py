@@ -243,6 +243,21 @@ def test_preset_subcommand(tmp_path, capsys):
     assert (out / "unitary.bin").exists()
 
 
+def test_unwritable_output_directory_is_a_usage_error(tmp_path, capsys):
+    # an --out that names a file, or lies below one, ends in one error
+    # line and exit code 1, not a traceback
+    cfg_file = write_doc(tmp_path, tiny_doc())
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out in (taken, taken / "below"):
+        for argv in (["run", str(cfg_file)], ["preset", "flat_loop"]):
+            assert main([*argv, "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: cannot write the output directory")
+            assert len(err.splitlines()) == 1
+    assert taken.read_text() == ""
+
+
 def test_no_command_prints_help(capsys):
     assert main([]) == 1
     assert "usage" in capsys.readouterr().out.lower()

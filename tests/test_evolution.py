@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,8 +8,10 @@ from hypothesis import example, given, strategies as st
 
 from leafquant import evolution, operators, runner
 from leafquant.bundle import BundleModel, ParameterPath, reparametrize_path
+from leafquant import expressions as ex
 from leafquant.expressions import Const, Var, parse_expr
-from leafquant.observables import PolynomialObservable
+from leafquant.observables import (PolynomialObservable,
+                                   hamiltonian_vector_field)
 from leafquant.operators import (
     FiberGrid,
     WaveSection,
@@ -353,12 +357,11 @@ def test_reparametrization_invariance_coarse():
     assert np.linalg.norm(u0 - u1) < 5e-3
 
 
-def expm_transport(dh, segments):
-    """Per-segment scipy expm product over the same midpoint increments."""
-    times = np.linspace(*dh.span, segments + 1)
+def expm_segments(dh, times):
+    """scipy expm of each transport segment over ``times``, G bound at
+    the segment's midpoint and mean sigma to its increment."""
     sig = dh.path.values(times)
-    u = np.eye(dh.grid.size, dtype=complex)
-    for j in range(segments):
+    for j in range(len(times) - 1):
         dsig = sig[j + 1] - sig[j]
         obs = P(dh.grid.dim, {
             (k + 1,): sum(float(w) * lam for w, lam in zip(dsig, row))
@@ -366,7 +369,14 @@ def expm_transport(dh, segments):
         h = quantizer(obs, dh.grid).operator(
             0.5 * (times[j] + times[j + 1]),
             0.5 * (sig[j] + sig[j + 1])).toarray()
-        u = scipy.linalg.expm(-1j * h) @ u
+        yield scipy.linalg.expm(-1j * h)
+
+
+def expm_transport(dh, segments):
+    """Per-segment scipy expm product over the same midpoint increments."""
+    u = np.eye(dh.grid.size, dtype=complex)
+    for step in expm_segments(dh, np.linspace(*dh.span, segments + 1)):
+        u = step @ u
     return u
 
 
@@ -409,6 +419,74 @@ def test_transport_product_keeps_hermiticity_gate(monkeypatch):
     monkeypatch.setattr(evolution, "_rows", literal_rows(dh))
     with pytest.raises(RuntimeError, match="hermiticity"):
         geometric_factor(dh, segments=4)
+
+
+def commuting_dh(shape, two_parameters, coeffs, amp, freq):
+    """A commuting family on a (16,) or (8, 8) grid: one parameter with
+    couplings affine in q, or two parameters with constant couplings."""
+    n = len(shape)
+    a, q = iter(coeffs), [Var(f"q{k + 1}") for k in range(n)]
+    if two_parameters:
+        rows = tuple((c(next(a)), c(next(a))) for _ in range(n))
+        comps = [f"{amp!r}*sin({freq!r}*t)", f"{amp!r}*(1 - cos(t))"]
+    else:
+        rows = tuple((c(next(a)) + sum((next(a) * x for x in q), c(0.0)),)
+                     for _ in range(n))
+        comps = [f"{amp!r}*sin({freq!r}*t) + 0.3*t"]
+    path = ParameterPath.from_expressions([expr(x, ["t"]) for x in comps],
+                                          span=(0.0, 1.5))
+    return DrivenHamiltonian(BundleModel(len(comps), n, rows), path,
+                             P(n, {}), FiberGrid(shape, (4.0,) * n))
+
+
+@example(shape=(8, 8), two_parameters=True, coeffs=[1, 0, 0, 1, 0, 0],
+         amp=0.5, freq=1.0, segments=16)
+@given(shape=st.sampled_from([(16,), (8, 8)]), two_parameters=st.booleans(),
+       coeffs=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+       amp=st.floats(0.2, 1.0), freq=st.floats(0.5, 2.0),
+       segments=st.sampled_from([4, 16]))
+def test_commuting_transport_matches_expm(shape, two_parameters, coeffs,
+                                          amp, freq, segments):
+    # a commuting family's U_geo and phase column come in closed form from
+    # one joint eigenbasis: against per-segment exponentials, with one
+    # eigh per DrivenHamiltonian and no Taylor series
+    dh = commuting_dh(shape, two_parameters, coeffs, amp, freq)
+    assert evolution._commuting_family(dh)
+    times = np.linspace(*dh.span, segments + 1)
+    psi0 = WaveSection.gaussian(dh.grid, center=0.3, width=1.0,
+                                momentum=0.5).values
+    u_ref, psi, args = np.eye(dh.grid.size, dtype=complex), psi0, [0.0]
+    for step in expm_segments(dh, times):
+        u_ref, psi = step @ u_ref, step @ psi
+        args.append(np.angle(np.vdot(psi0, psi)))
+
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(m):
+        calls.append(len(m))
+        return eigh(m)
+
+    def no_series(*args):
+        raise AssertionError("a commuting family reached the Taylor series")
+
+    with mock.patch.object(np.linalg, "eigh", counted), \
+            mock.patch.object(evolution, "_taylor_apply", no_series):
+        u = geometric_factor(dh, segments=segments)
+        phases = evolution._transport_phases(dh, times, psi0)
+        geometric_factor(dh, segments=2 * segments)
+    assert calls == [dh.grid.size]
+    assert np.linalg.norm(u - u_ref) <= 1e-12
+    assert np.max(np.abs(phases - np.unwrap(args))) <= 1e-12
+
+
+def test_joint_basis_residual_check_raises_off_a_commuting_family():
+    # p and the symmetrized p q1 do not commute: no eigenbasis of
+    # p + (p q1) / pi diagonalizes either, and the residual check says so
+    dh = nonabelian_dh(n_grid=16)
+    assert not evolution._commuting_family(dh)
+    with pytest.raises(RuntimeError, match="not diagonal in the joint basis"):
+        evolution._commuting_basis(dh)
 
 
 @given(slope=st.floats(0.2, 1.0), radius=st.floats(0.3, 1.0))
@@ -768,11 +846,12 @@ def test_hot_loops_make_no_per_step_quantize_affine(monkeypatch):
         builds.clear()
         fills.clear()
         propagate_state(oscillator_dh(n_grid=64, t1=1.0), ws, steps=steps)
-        # two quantizers, G + H' and G, each filling the whole window in
-        # one block; the one-row fill is the q-only factor p1 that the
-        # build of the p1^2 weights quantizes
+        # two quantizers: G + H' fills the whole window in one block and
+        # G its two unit-rate rows (the basis combination and A) once;
+        # the one-row fill is the q-only factor p1 that the build of the
+        # p1^2 weights quantizes
         assert len(builds) == 2
-        assert sorted(fills) == [1, steps, steps]
+        assert sorted(fills) == [1, 2, steps]
     builds.clear()
     fills.clear()
     geometric_factor(nonabelian_dh(n_grid=32), segments=64)
@@ -884,6 +963,75 @@ def test_classical_divergence_reported():
     dh = DrivenHamiltonian(bundle, path, ham, FiberGrid((16,), (3.0,)))
     with pytest.raises(ValueError, match="diverged at t"):
         classical_hamilton_flow(dh, ClassicalState([1.0], [1.0]), steps=50)
+
+
+@pytest.mark.parametrize("ham,q0,p0,steps,at", [
+    # overflow of q1^2 p1^2's field
+    (P(1, {(1, 1): Var("q1") ** 2}), 1.0, 1.0, 50, "40"),
+    # dq/dt = -1 exactly, so a stage lands on q1 = 0 in 0.5 / q1's field
+    (P(1, {(1,): c(-1.0), (): 0.5 / Var("q1")}), 0.5, 0.0, 8, "0.375"),
+    # 1/q1 at the initial point
+    (P(1, {(1,): c(-1.0) / Var("q1")}), 0.0, 1.0, 8, "0"),
+    # exp(q1^2) and q1^3 growing past the largest float
+    (P(1, {(1,): expr("exp(q1^2)", ["q1"])}), 1.0, 0.0, 10, "0.1"),
+    (P(1, {(1,): Var("q1") ** 3}), 1.0, 0.0, 10, "0.6"),
+])
+def test_classical_divergence_time(ham, q0, p0, steps, at):
+    # the step at which each flow stops, as the field walked by
+    # PolynomialObservable.evaluate reported it
+    span = 2000.0 if steps == 50 else 1.0
+    dh = DrivenHamiltonian(
+        BundleModel(1, 1, ((c(0.0),),)),
+        ParameterPath.from_expressions([c(0.0)], span=(0.0, span)), ham,
+        FiberGrid((16,), (3.0,)))
+    with pytest.raises(ValueError, match=f"diverged at t = {at}$"):
+        classical_hamilton_flow(dh, ClassicalState([q0], [p0]), steps=steps)
+
+
+def rk4_reference(dh, initial, steps):
+    """The flow with every component read by PolynomialObservable.evaluate
+    on float64 arrays: the compiled field must give the same bits."""
+    n = dh.grid.dim
+    field = hamiltonian_vector_field(dh.star)
+    components = (*field.dq, *field.dp)
+    t0, t1 = dh.span
+    dt = (t1 - t0) / steps
+    times = np.linspace(t0, t1, steps + 1)
+
+    def rhs(t, y):
+        return np.array([f.evaluate(t, dh.path.value(t), y[:n], y[n:],
+                                    dh.path.velocity(t))
+                         for f in components])
+
+    ys = [np.concatenate([initial.q, initial.p])]
+    for t in times[:-1]:
+        y = ys[-1]
+        k1 = rhs(t, y)
+        k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1)
+        k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
+        k4 = rhs(t + dt, y + dt * k3)
+        ys.append(y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+    return np.asarray(ys)
+
+
+@given(amp=st.floats(0.1, 1.0), freq=st.floats(0.5, 2.0),
+       slope=st.floats(-0.5, 0.5), q0=st.floats(-1.0, 1.0),
+       p0=st.floats(-1.0, 1.0))
+def test_compiled_classical_field_matches_evaluate_bit_for_bit(amp, freq,
+                                                               slope, q0, p0):
+    q1, q2, s1 = Var("q1"), Var("q2"), Var("s1")
+    bundle = BundleModel(1, 2, ((c(1.0) + slope * q2,), (c(0.5),)))
+    path = ParameterPath.from_expressions(
+        [expr(f"{amp!r}*sin({freq!r}*t)", ["t"])], span=(0.0, 2.0))
+    ham = P(2, {(1, 1): c(0.5), (2, 2): expr("0.5 + 0.1*sin(t)", ["t"]),
+                (1, 2): 0.2 * ex.Call("cos", q1),
+                (): ex.Call("sin", q1 - s1) + 0.5 * q2 ** 2})
+    dh = DrivenHamiltonian(bundle, path, ham, FiberGrid((8, 8), (3.0, 3.0)))
+    initial = ClassicalState([q0, -q0], [p0, 0.5])
+    traj = classical_hamilton_flow(dh, initial, steps=64)
+    want = rk4_reference(dh, initial, 64)
+    assert np.array_equal(traj.positions, want[:, :2])
+    assert np.array_equal(traj.momenta, want[:, 2:])
 
 
 def test_two_axis_smoke():

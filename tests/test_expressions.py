@@ -1,8 +1,10 @@
 """Tests for the coefficient expression language."""
 
+import operator
+
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from leafquant import expressions as ex
 from leafquant.expressions import (
@@ -267,3 +269,106 @@ def test_free_variables():
 def test_constant_folding_identities():
     assert parse_expr("0*q1 + q1*1 + 0", ["q1"]) == Var("q1")
     assert parse_expr("2^3 + 1", []) == Const(9.0)
+
+
+_REFERENCE_CALLS = {"sin": np.sin, "cos": np.cos, "exp": np.exp,
+                    "tanh": np.tanh, "sqrt": np.sqrt}
+_REFERENCE_BINARY = {ex.Add: operator.add, ex.Sub: operator.sub,
+                     ex.Mul: operator.mul, ex.Div: operator.truediv}
+
+
+def walk(e, binding):
+    """The value of ``e`` by recursion over its nodes, with the numpy
+    routes of each node: the semantics the compiled closures keep."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        return binding[e.name]
+    if isinstance(e, ex.Neg):
+        return -walk(e.operand, binding)
+    if type(e) in _REFERENCE_BINARY:
+        return _REFERENCE_BINARY[type(e)](walk(e.left, binding),
+                                          walk(e.right, binding))
+    if isinstance(e, ex.Pow):
+        return np.asarray(walk(e.base, binding), dtype=float) ** e.exponent
+    if isinstance(e, ex.Root):
+        return np.asarray(walk(e.arg, binding)) ** (1.0 / e.index)
+    if isinstance(e, ex.Call):
+        return _REFERENCE_CALLS[e.func](walk(e.arg, binding))
+    assert isinstance(e, ex.Bump)
+    x = np.asarray(walk(e.arg, binding), dtype=float)
+    u = (x - e.center) / e.radius
+    out = np.zeros_like(u)
+    inside = np.abs(u) < 1.0
+    if np.any(inside):
+        ui = u[inside]
+        g = np.exp(1.0 - 1.0 / (1.0 - ui * ui))
+        if e.order == 0:
+            out[inside] = g
+        else:
+            vals = np.zeros_like(g)
+            live = g > 0.0
+            if np.any(live):
+                pref = ex._bump_prefactor(e.order)
+                vals[live] = g[live] * pref.evaluate({"u": ui[live]})
+            out[inside] = vals * e.radius ** (-e.order)
+    return float(out[()]) if np.ndim(x) == 0 else out
+
+
+def outcome(fn):
+    """(type name, float64 bytes, shape) of fn's value, or the name of
+    the error it raises."""
+    try:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            value = fn()
+    except (ZeroDivisionError, OverflowError) as exc:
+        return type(exc).__name__
+    arr = np.asarray(value, dtype=float)
+    return arr.tobytes(), arr.shape
+
+
+ALL_TREES = st.recursive(
+    st.one_of(st.sampled_from([Var(v) for v in VARS]),
+              st.sampled_from([0.0, 1.0, -2.5, 0.3]).map(Const)),
+    lambda sub: st.one_of(
+        st.tuples(sub, sub, st.sampled_from([ex.Add, ex.Sub, ex.Mul,
+                                             ex.Div])).map(
+            lambda abk: abk[2](abk[0], abk[1])),
+        sub.map(ex.Neg),
+        st.tuples(sub, st.integers(-3, 4)).map(lambda bn: ex.Pow(*bn)),
+        st.tuples(sub, st.integers(2, 4)).map(lambda ak: ex.Root(*ak)),
+        st.tuples(st.sampled_from(sorted(_REFERENCE_CALLS)), sub).map(
+            lambda fa: ex.Call(*fa)),
+        st.tuples(sub, st.floats(-1.0, 1.0), st.floats(0.5, 2.0),
+                  st.integers(0, 2)).map(lambda a: ex.Bump(*a))),
+    max_leaves=8)
+
+POINTS = st.sampled_from([0.0, -0.0, 0.5, -1.25, 2.0, 1e200])
+
+
+@settings(max_examples=200)
+@example(tree=ex.Div(Const(1.0), Var("q1")), scalars=[0.0] * len(VARS),
+         kind="float")
+@example(tree=ex.Bump(ex.Root(Var("t"), 3), 0.5, 1.0, 2),
+         scalars=[-1.25, 0.0, 0.0, 0.5, 0.5], kind="array")
+@given(tree=ALL_TREES,
+       scalars=st.lists(POINTS, min_size=len(VARS), max_size=len(VARS)),
+       kind=st.sampled_from(["float", "float64", "array"]))
+def test_compiled_evaluation_equals_the_tree_walk_to_the_bit(tree, scalars,
+                                                             kind):
+    # every node type over Python floats, numpy scalars and arrays, with
+    # zeros, signed zeros and huge values that reach every error route
+    if kind == "array":
+        binding = {v: np.array([x, 0.75, -x]) for v, x in zip(VARS, scalars)}
+    else:
+        cast = float if kind == "float" else np.float64
+        binding = {v: cast(x) for v, x in zip(VARS, scalars)}
+    want = outcome(lambda: walk(tree, binding))
+    assert outcome(lambda: tree.compiled(binding)) == want
+    try:
+        got = tree.evaluate(binding)
+    except EvaluationError:
+        assert isinstance(want, str) or not np.all(np.isfinite(
+            np.frombuffer(want[0])))
+    else:
+        assert outcome(lambda: got) == want
