@@ -41,33 +41,37 @@ exact eigendecomposition exponentials, so unitarity holds to rounding
 at every step count.  Every grid axis has an even number of points, and
 there the diagonal gauge S = diag(i^(j_1 + ... + j_n)) of
 ``operators._gauge`` turns each quantized generator h into the real
-symmetric S h S^dagger.  ``_eigh`` is the one eigendecomposition: h
-passes the one gate (``_gated_dense``, relative hermiticity defect at
-most ``HERMITICITY_STEP_TOL``), the gauged matrix must be exactly real,
-and its eigenvectors V are real.  The step
-product keeps U and the carried state in the gauged basis and applies
-each step as V (e * (V^T x)) through real GEMMs; the transport of a
-commuting family forms V diag(e) V^T of its joint basis once.  The
+symmetric S h S^dagger, its data the CSR data of h times the exact
+phase i^(index offset) of each entry (``_entry_phases``,
+``_gauged_data``).  Every generator passes the one gate: its relative
+hermiticity defect, read from the CSR data (``hermiticity_defect``), at
+most ``HERMITICITY_STEP_TOL``.  ``_eigh`` is the one
+eigendecomposition: the gauged data must be exactly real, it is made a
+dense float64 array only for LAPACK, and the eigenvectors V are real.
+The step product keeps U and the carried state in the gauged basis and
+applies each step as V (e * (V^T x)) through real GEMMs; the transport
+of a commuting family forms V diag(e) V^T of its joint basis once.  The
 geometric phase, fine-step column and coarse value alike, is the
 unwrapped angle of the initial state carried through the transport
 segments over the times asked for (``_transport_phases``); for a
 commuting family that angle is read from the joint basis, as
 arg sum_k |a_k|^2 exp(-i (sigma_j - sigma_0) . W_k) with a = V^T S psi0.
 
-Small exponentials are applied, not formed: one adaptive Taylor series
-of sparse products acts on a state (the fine-step state propagator, on
+Small exponentials are applied, not formed, by series of sparse
+products whose generators are the quantizers' ``csr_array``s.  On a
+state, an adaptive Taylor series: the fine-step state propagator, on
 the same per-step generators the dense pass builds, and the state
-carried through the transport segments of a non-commuting family) or
-on an N x N block (the transport product of a non-commuting family,
-whose running factor starts at the identity).  A transport segment
-whose one-norm bound exceeds ``TRANSPORT_SUBSTEP_NORM`` is cut into
-equal substeps of the same generator; a state step too large for the
-series raises instead.
-Generators are the quantizers' ``csr_array``s throughout, and the
-pointwise ones are returned as such; a dense step makes its generator
-a dense array once, for the Hermiticity gate and, gauged to a real
-matrix, the eigendecomposition.  U, U_geo, U_dyn and the geometric
-factor are returned as ndarrays.
+carried through the transport segments of a non-commuting family,
+where a segment whose one-norm bound exceeds ``TRANSPORT_SUBSTEP_NORM``
+is cut into equal substeps; a state step too large for the series
+raises instead.  On the N x N transport product of a non-commuting
+family, one real Chebyshev series per segment (Tal-Ezer and Kosloff):
+the gauged generator scaled by its Gershgorin bound R = ||h||_1 acts
+on the float view of the running product, which stays gauged from the
+identity to the end, and the Bessel tail of the term count K is known
+in advance (``TRANSPORT_TAIL_TOL``), so no segment is cut.  The
+pointwise generators are returned as ``csr_array``s, and U, U_geo, U_dyn
+and the geometric factor as ndarrays.
 """
 
 from __future__ import annotations
@@ -97,7 +101,9 @@ from .operators import (
     Quantizer,
     quantizer,
     _gauge,
-    _relative_defect,
+    _pattern_defect,
+    _transpose_slots,
+    hermiticity_defect,
 )
 
 __all__ = [
@@ -121,18 +127,22 @@ __all__ = [
 _ZERO = Const(0.0)
 
 HERMITICITY_STEP_TOL = 1e-10
-# largest bound ||h||_1 of one transport substep: the series then
-# converges within about 25 terms, and no term exceeds twice the input,
-# so the partial sums lose little to cancellation
+# largest bound ||h||_1 of one Taylor substep of a state carried through
+# a transport segment: the series then converges within about 25 terms,
+# and no term exceeds twice the input, so the partial sums lose little
+# to cancellation
 TRANSPORT_SUBSTEP_NORM = 2.0
-# Taylor stopping tolerances relative to the input's norm: a carried
-# state's truncation sits far below its second-order step or segment
-# error, while the transport product multiplies up to thousands of
-# factors and so stops each at rounding to stay unitary to about 1e-13
+# Taylor stopping tolerance of a state step relative to the state's
+# norm: its truncation sits far below the second-order step or segment
+# error
 STATE_TAYLOR_TOL = 1e-13
-TRANSPORT_TAYLOR_TOL = 1e-16
-# a series still above its tolerance after this many terms raises
+# a state's Taylor series still above its tolerance after this many
+# terms raises
 TAYLOR_MAX_TERMS = 64
+# bound on the Bessel tail 2 sum_{k > K} |J_k| that the Chebyshev series
+# of a transport segment drops: the product multiplies up to thousands
+# of factors, so each stops at rounding to stay unitary to about 1e-13
+TRANSPORT_TAIL_TOL = 1e-16
 # the split: commutator samples, the relative commutator norm of a
 # commuting family, and the factorization defect it must close to
 SPLIT_SAMPLES = 32
@@ -353,37 +363,49 @@ def _commuting_family(dh: DrivenHamiltonian) -> bool:
                for c in row))
 
 
-def _gated_dense(h: sp.csr_array):
-    """h as an ndarray and its relative hermiticity defect, at most
-    HERMITICITY_STEP_TOL: the one gate on a generator."""
-    m = h.toarray()
-    defect = _relative_defect(m)
+def _gated(defect: float) -> float:
+    """A generator's relative hermiticity defect (``hermiticity_defect``),
+    if it is at most HERMITICITY_STEP_TOL: the one gate on a
+    generator."""
     if defect > HERMITICITY_STEP_TOL:
         raise RuntimeError(
             f"step generator lost hermiticity (relative defect {defect:.3e})")
-    return m, defect
+    return defect
+
+
+def _entry_phases(h: sp.csr_array, grid: FiberGrid) -> np.ndarray:
+    """S_i conj(S_j) at each stored entry (i, j) of h's pattern: the
+    exact phase i^(index offset) that gauges the entry (``_gauge``)."""
+    s = _gauge(grid)
+    row = np.repeat(np.arange(len(s)), np.diff(h.indptr))
+    return s[row] * s.conj()[h.indices]
+
+
+def _gauged_data(h: sp.csr_array, phases: np.ndarray,
+                 what: str) -> np.ndarray:
+    """The float64 data of S h S^dagger on h's pattern, from the entry
+    phases of ``_entry_phases``: each product is exact, and its
+    imaginary part must be exactly zero."""
+    data = h.data * phases
+    if np.any(data.imag):
+        raise RuntimeError(
+            f"gauged {what} is not real (largest imaginary part "
+            f"{np.abs(data.imag).max():.3e})")
+    return data.real
 
 
 def _eigh(h: sp.csr_array, grid: FiberGrid):
     """(w, V, defect) with h = S^dagger V diag(w) V^T S: the one
     eigendecomposition.
 
-    h passes the gate (``_gated_dense``), its gauged form S h S^dagger
-    (S of ``operators._gauge``) must have an imaginary part of exactly
-    zero, and numpy's ``eigh`` decomposes that float64 array, so V is
-    real orthogonal.
+    h passes the gate (``_gated``), its gauged data S h S^dagger (S of
+    ``operators._gauge``) must have an imaginary part of exactly zero,
+    and numpy's ``eigh`` decomposes that data made a float64 array, so
+    V is real orthogonal.
     """
-    m, defect = _gated_dense(h)
-    s = _gauge(grid)
-    m *= s[:, None]
-    m *= s.conj()
-    if np.any(m.imag):
-        raise RuntimeError(
-            "gauged step generator is not real (largest imaginary part "
-            f"{np.abs(m.imag).max():.3e})")
-    # the complex array is released before LAPACK's workspace is taken
-    real = m.real.copy()
-    del m
+    defect = _gated(hermiticity_defect(h))
+    data = _gauged_data(h, _entry_phases(h, grid), "step generator")
+    real = sp.csr_array((data, h.indices, h.indptr), shape=h.shape).toarray()
     w, v = np.linalg.eigh(real)
     return w, v, defect
 
@@ -408,14 +430,6 @@ def _ungauged(u: np.ndarray, grid: FiberGrid) -> np.ndarray:
     u *= s.conj()[:, None]
     u *= s
     return u
-
-
-def _step_unitary(h: sp.csr_array, dt: float, grid: FiberGrid):
-    """exp(-i dt h) as a dense ndarray and the relative hermiticity
-    defect of h: V diag(exp(-i dt w)) V^T of ``_eigh``, formed once and
-    taken back from the gauged basis."""
-    w, v, defect = _eigh(h, grid)
-    return _ungauged(_exponential(v, np.exp(-1j * dt * w)), grid), defect
 
 
 def _step_product(q: Quantizer, dh: DrivenHamiltonian, times: np.ndarray,
@@ -506,14 +520,11 @@ def evolve_time_ordered(dh: DrivenHamiltonian, steps: int,
 
 def _segments(dh: DrivenHamiltonian, times: np.ndarray):
     """Yield each transport segment's generator G (``_steps``), the
-    Taylor step dt / substeps and the count of equal substeps that keeps
-    their bound dt ||h||_1 within TRANSPORT_SUBSTEP_NORM."""
+    segment width dt and the Gershgorin bound ||h||_1 of its spectrum."""
     dt, rows = _steps(dh, times, dh.geometric_quantizer)
     for h in rows:
-        norm1 = np.bincount(h.indices, weights=np.abs(h.data),
-                            minlength=h.shape[1]).max()
-        substeps = max(1, math.ceil(dt * norm1 / TRANSPORT_SUBSTEP_NORM))
-        yield h, dt / substeps, substeps
+        yield h, dt, np.bincount(h.indices, weights=np.abs(h.data),
+                                 minlength=h.shape[1]).max()
 
 
 def _commuting_basis(dh: DrivenHamiltonian):
@@ -533,22 +544,20 @@ def _commuting_basis(dh: DrivenHamiltonian):
     Every row is filled through ``_rows``; the couplings of a commuting
     family depend on q alone, so t and s bind to zero.
     """
-    m, s = dh.bundle.n_parameters, _gauge(dh.grid)
+    m = dh.bundle.n_parameters
     rate = np.vstack([np.pi ** -np.arange(m), np.eye(m)])
     zeros = np.zeros((m + 1, m))
     rows = _rows(dh.geometric_quantizer, zeros[:, 0], zeros, rate)
-    _, v, _ = _eigh(next(rows), dh.grid)
+    h = next(rows)
+    phases = _entry_phases(h, dh.grid)
+    _, v, _ = _eigh(h, dh.grid)
     w = np.empty((m, len(v)))
     for lam, h in enumerate(rows):
-        row = np.repeat(np.arange(len(v)), np.diff(h.indptr))
-        data = h.data * s[row] * s.conj()[h.indices]
-        if np.any(data.imag):
-            raise RuntimeError(f"gauged coupling {lam + 1} is not real")
-        a = sp.csr_array((data.real, h.indices, h.indptr), shape=h.shape)
-        av = a @ v
+        data = _gauged_data(h, phases, f"coupling {lam + 1}")
+        av = sp.csr_array((data, h.indices, h.indptr), shape=h.shape) @ v
         w[lam] = np.einsum("ij,ij->j", v, av)
         residual = np.linalg.norm(av - v * w[lam])
-        if residual > COMMUTING_THRESHOLD * np.linalg.norm(data.real):
+        if residual > COMMUTING_THRESHOLD * np.linalg.norm(data):
             raise RuntimeError(
                 f"coupling {lam + 1} is not diagonal in the joint basis "
                 f"(off-diagonal norm {residual:.3e})")
@@ -580,9 +589,10 @@ def _transport_phases(dh: DrivenHamiltonian, times: np.ndarray,
             for lo in range(0, len(times), PHASE_BLOCK_ROWS)])
         return np.unwrap(np.angle(overlaps))
     psi, args = psi0, [0.0]
-    for h, tau, substeps in _segments(dh, times):
+    for h, dt, norm1 in _segments(dh, times):
+        substeps = max(1, math.ceil(dt * norm1 / TRANSPORT_SUBSTEP_NORM))
         for _ in range(substeps):
-            psi = _taylor_apply(h, psi, tau, STATE_TAYLOR_TOL)
+            psi = _taylor_apply(h, psi, dt / substeps, STATE_TAYLOR_TOL)
         args.append(np.angle(np.vdot(psi0, psi)))
     return np.unwrap(args)
 
@@ -603,14 +613,77 @@ def _geometric_product(dh: DrivenHamiltonian, times: np.ndarray):
         e = np.exp(-1j * ((sig[1] - sig[0]) @ w))
         return _ungauged(_exponential(v, e), dh.grid)
 
-    # each small increment acts on the running product, so no segment
-    # exponential is formed
-    u = np.eye(dh.grid.size, dtype=complex)
-    for h, tau, substeps in _segments(dh, times):
-        _gated_dense(h)
-        for _ in range(substeps):
-            u = _taylor_apply(h, u, tau, TRANSPORT_TAYLOR_TOL)
-    return u
+    # each segment's series acts on the running product u, kept in the
+    # gauged basis from the identity; every step works on the float view
+    # of u and on buffers of its size, allocated once per product
+    from scipy.sparse._sparsetools import csr_matvecs
+
+    n = dh.grid.size
+    u = np.eye(n, dtype=complex)
+    x = u.view(float).ravel()
+    slots = phases = None
+    for h, dt, r in _segments(dh, times):
+        if slots is None:
+            # every row of ``_segments`` fills one canonical pattern, whose
+            # shape the native products below rely on; the buffers are
+            # taken after the first block of rows is filled, so they do
+            # not add to the peak of the fill
+            if h.shape != u.shape:
+                raise ValueError("transport generator does not match the grid")
+            slots, phases = _transpose_slots(h), _entry_phases(h, dh.grid)
+            cur, even, odd, term = (np.empty_like(x) for _ in range(4))
+        _gated(_pattern_defect(h.data, slots))
+        if r == 0.0:
+            continue
+        # b = 2 S h S^dagger / r, whose spectrum lies in [-2, 2]
+        b = _gauged_data(h, phases, "transport generator") * (2.0 / r)
+        signed = (-b, b)
+        j = _chebyshev_terms(dt * r)
+        # S_k = (-1)^(k // 2) T_k(b / 2) u carries the signs of the
+        # coefficients 2 (-i)^k J_k, so that exp(-i dt h) u = E - i O with
+        # E = J_0 S_0 + 2 sum_{k even > 0} J_k S_k and O = 2 sum_{k odd}
+        # J_k S_k; S_k = (-1)^(k - 1) b S_{k-1} + S_{k-2} is written over
+        # S_{k-2}, one sparse product a term, and S_1 = (b / 2) S_0 over
+        # S_{-1} = 0
+        np.multiply(x, j[0], out=even)
+        odd.fill(0.0)
+        cur.fill(0.0)
+        prev, now = cur, x
+        for k in range(1, len(j)):
+            csr_matvecs(n, n, 2 * n, h.indptr, h.indices,
+                        signed[k % 2] if k > 1 else 0.5 * b, now, prev)
+            prev, now = now, prev
+            np.multiply(now, 2.0 * j[k], out=term)
+            acc = odd if k % 2 else even
+            acc += term
+        # u <- E - i O: multiplying by -i is exact
+        o = odd.view(complex)
+        o *= -1j
+        np.add(even.view(complex), o, out=x.view(complex))
+    return _ungauged(u, dh.grid)
+
+
+def _chebyshev_terms(x: float) -> np.ndarray:
+    """J_0(x), ..., J_K(x): the Bessel factors of the Chebyshev series
+    exp(-i x y) = J_0(x) + 2 sum_{k >= 1} (-i)^k J_k(x) T_k(y) on
+    [-1, 1] (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984)).
+
+    K is the smallest order whose tail 2 sum_{k > K} |J_k(x)| is at most
+    TRANSPORT_TAIL_TOL, read from one ``jv`` call over orders 0 to
+    1.5 x + 40; a range that does not meet the bound raises.
+    """
+    # imported here, so that importing the package does not load it
+    from scipy.special import jv
+
+    j = jv(np.arange(int(1.5 * x) + 41), x)
+    # tails[k] = 2 sum_{i > k} |J_i|, summed from the smallest term up
+    tails = 2.0 * np.cumsum(np.abs(j[:0:-1]))[::-1]
+    met = np.flatnonzero(tails <= TRANSPORT_TAIL_TOL)
+    if not len(met):
+        raise RuntimeError(
+            f"Chebyshev series at x = {x:.6g} does not reach its tail "
+            f"bound {TRANSPORT_TAIL_TOL:.1e} within {len(j)} orders")
+    return j[:met[0] + 1]
 
 
 def geometric_factor(dh: DrivenHamiltonian, t_end: float | None = None,
@@ -711,12 +784,13 @@ def _steps(dh: DrivenHamiltonian, times: np.ndarray, *quantizers):
 
 def _taylor_apply(h: sp.csr_array, x: np.ndarray, dt: float,
                   tol: float) -> np.ndarray:
-    """exp(-i dt h) applied to a vector or to an N x N block.
+    """exp(-i dt h) applied to a state vector x.
 
-    The Taylor series stops at the first term whose norm (Frobenius for
-    a block) is at most tol times the norm of x.
+    The Taylor series stops at the first term whose norm is at most tol
+    times the norm of x; a smooth state stops well before the worst case
+    of h's spectrum.
     """
-    flat = x.view(float).ravel()
+    flat = x.view(float)
     bound = tol * tol * (flat @ flat)
     out = x.copy()
     term = x
@@ -724,7 +798,7 @@ def _taylor_apply(h: sp.csr_array, x: np.ndarray, dt: float,
         term = h @ term
         term *= -1j * dt / j
         out += term
-        flat = term.view(float).ravel()
+        flat = term.view(float)
         if flat @ flat <= bound:
             return out
     raise RuntimeError(

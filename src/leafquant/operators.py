@@ -469,18 +469,38 @@ def inner_product(a: WaveSection, b: WaveSection) -> complex:
 
 
 def hermiticity_defect(h: sp.csr_array) -> float:
-    """Relative Frobenius distance of a quantized operator from its
-    adjoint."""
-    return _relative_defect(h.toarray())
+    """||h - h^dagger||_F / max(1, ||h||_F), read in O(nnz) from the CSR
+    data (duplicates summed first) and the transpose permutation of its
+    pattern (``_transpose_slots``)."""
+    if not h.has_canonical_format:
+        h = h.copy()
+        h.sum_duplicates()
+    return _pattern_defect(h.data, _transpose_slots(h))
 
 
-def _relative_defect(m: np.ndarray) -> float:
-    # m - m^dagger formed in one C-ordered temporary: the norm then sums
-    # in the same order as over a fresh difference, and the gate adds
-    # one N x N array to peak memory, not two
-    gap = np.conjugate(m.T, order="C")
-    np.subtract(m, gap, out=gap)
-    return float(np.linalg.norm(gap) / max(1.0, np.linalg.norm(m)))
+def _transpose_slots(h: sp.csr_array) -> tuple[np.ndarray, np.ndarray]:
+    """(slot, stored) at each entry (i, j) of h's canonical pattern: the
+    position of its mirror (j, i) in the data, and whether it is stored
+    at all."""
+    n = h.shape[0]
+    row = np.repeat(np.arange(n), np.diff(h.indptr))
+    # a canonical pattern's keys row * n + col are sorted and unique
+    keys = row * n + h.indices
+    mirror = h.indices * n + row
+    slot = np.minimum(np.searchsorted(keys, mirror), len(keys) - 1)
+    return slot, keys[slot] == mirror
+
+
+def _pattern_defect(data: np.ndarray,
+                    slots: tuple[np.ndarray, np.ndarray]) -> float:
+    """``hermiticity_defect`` of the data on a canonical pattern with
+    ``_transpose_slots`` ``slots``.  An entry whose mirror is not stored
+    enters h - h^dagger twice, at (i, j) and at (j, i)."""
+    slot, stored = slots
+    gap = data - np.where(stored, data[slot].conj(), 0.0)
+    lone = data[~stored]
+    squares = np.vdot(gap, gap).real + np.vdot(lone, lone).real
+    return float(math.sqrt(squares) / max(1.0, np.linalg.norm(data)))
 
 
 def expectation_value(h: sp.csr_array, ws: WaveSection) -> float:

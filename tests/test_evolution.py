@@ -1,9 +1,11 @@
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.special
 from hypothesis import example, given, strategies as st
 
 from leafquant import evolution, operators, runner
@@ -386,8 +388,8 @@ def unitarity_defect(u):
 
 @pytest.mark.parametrize("n_grid,segments", [(96, 8), (96, 64), (256, 2)])
 def test_transport_product_matches_expm(n_grid, segments):
-    # at N = 256 two segments have ||h||_1 far above TRANSPORT_SUBSTEP_NORM,
-    # so the product only converges through substeps
+    # at N = 256 each of two segments has tau ||h||_1 = 32: one Chebyshev
+    # series of 69 terms, with no substeps
     dh = nonabelian_dh(n_grid=n_grid)
     u = geometric_factor(dh, segments=segments)
     assert np.linalg.norm(u - expm_transport(dh, segments)) < 1e-11
@@ -419,6 +421,87 @@ def test_transport_product_keeps_hermiticity_gate(monkeypatch):
     monkeypatch.setattr(evolution, "_rows", literal_rows(dh))
     with pytest.raises(RuntimeError, match="hermiticity"):
         geometric_factor(dh, segments=4)
+
+
+def noncommuting_dh(shape, coeffs, slope, radius, arc):
+    """Two parameters on a (16,), (32,) or (8, 8) grid, each coupling
+    component affine in q, the second parameter's sheared by ``slope``
+    along q1, traced over an arc of the circle of the given radius."""
+    n = len(shape)
+    a, q = iter(coeffs), [Var(f"q{k + 1}") for k in range(n)]
+    rows = tuple(tuple(c(next(a)) + sum((next(a) * x for x in q), c(0.0))
+                       for _ in range(2)) for _ in range(n))
+    rows = ((rows[0][0], rows[0][1] + slope * q[0]), *rows[1:])
+    path = ParameterPath.from_expressions(
+        [expr(f"{radius!r}*cos(t)", ["t"]), expr(f"{radius!r}*sin(t)", ["t"])],
+        span=(0.0, arc))
+    return DrivenHamiltonian(BundleModel(2, n, rows), path, P(n, {}),
+                             FiberGrid(shape, (4.0,) * n))
+
+
+# tau R reads 8.0 on the first example, 138 on the second and at most
+# 0.0092 on the third
+@example(shape=(8, 8), coeffs=[1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0],
+         slope=1.0, radius=2.0, arc=TWO_PI, segments=2)
+@example(shape=(32,), coeffs=[1.0] * 12, slope=1.0, radius=3.0, arc=3.5,
+         segments=1)
+@example(shape=(32,), coeffs=[0.5] * 12, slope=0.2, radius=0.05, arc=1.0,
+         segments=64)
+@given(shape=st.sampled_from([(16,), (32,), (8, 8)]),
+       coeffs=st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12),
+       slope=st.floats(0.2, 1.0), radius=st.floats(0.05, 3.0),
+       arc=st.floats(1.0, TWO_PI), segments=st.integers(1, 64))
+def test_chebyshev_transport_matches_expm(shape, coeffs, slope, radius, arc,
+                                          segments):
+    # the non-commuting product steps each segment by one real Chebyshev
+    # series over tau R from far below 1 to far above 2, and no block
+    # reaches the Taylor series
+    dh = noncommuting_dh(shape, coeffs, slope, radius, arc)
+    assert not evolution._commuting_family(dh)
+
+    def no_series(*args):
+        raise AssertionError("a block reached the Taylor series")
+
+    with mock.patch.object(evolution, "_taylor_apply", no_series):
+        u = geometric_factor(dh, segments=segments)
+    assert np.linalg.norm(u - expm_transport(dh, segments)) <= 1e-12
+    assert unitarity_defect(u) <= 1e-12
+
+
+@pytest.mark.parametrize("x", [1e-20, 0.5, 2.0, 18.0, 60.0])
+def test_chebyshev_terms_stop_at_the_smallest_bessel_tail(x):
+    # K is the smallest order whose tail 2 sum_{k > K} |J_k(x)| meets
+    # the bound, against a tail summed exactly over 400 orders
+    full = scipy.special.jv(np.arange(400), x)
+    tails = [2.0 * math.fsum(np.abs(full[k + 1:])) for k in range(400)]
+    order = next(k for k, tail in enumerate(tails)
+                 if tail <= evolution.TRANSPORT_TAIL_TOL)
+    terms = evolution._chebyshev_terms(x)
+    assert len(terms) == order + 1
+    assert np.array_equal(terms, full[:order + 1])
+    assert (order == 0) == (x == 1e-20)
+
+
+def test_chebyshev_terms_raise_when_the_range_misses_the_bound(monkeypatch):
+    # no tail over the orders read is exactly zero, so a zero bound is
+    # never met, and the series is not cut short silently
+    monkeypatch.setattr(evolution, "TRANSPORT_TAIL_TOL", 0.0)
+    with pytest.raises(RuntimeError, match="does not reach its tail bound"):
+        evolution._chebyshev_terms(2.0)
+
+
+def test_zero_increment_segment_leaves_the_product_unchanged():
+    # sigma(1) = sigma(2): the middle of three segments has no increment
+    bundle = BundleModel(2, 1, ((c(1.0), 0.7 * Var("q1")),))
+    path = ParameterPath.from_expressions(
+        [expr("(t - 1)*(t - 2)", ["t"]), expr("t*(t - 1)*(t - 2)", ["t"])],
+        span=(0.0, 3.0))
+    dh = DrivenHamiltonian(bundle, path, P(1, {}), FiberGrid((32,), (4.0,)))
+    middle = geometric_factor(dh, t_start=1.0, t_end=2.0, segments=1)
+    assert np.array_equal(middle, np.eye(32))
+    outer = (geometric_factor(dh, t_start=2.0, t_end=3.0, segments=1)
+             @ geometric_factor(dh, t_start=0.0, t_end=1.0, segments=1))
+    assert np.linalg.norm(geometric_factor(dh, segments=3) - outer) <= 1e-13
 
 
 def commuting_dh(shape, two_parameters, coeffs, amp, freq):

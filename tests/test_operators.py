@@ -200,6 +200,48 @@ def test_symmetrized_hermitian_to_the_bit():
     assert hermiticity_defect(quantizer(f2, g2).operator()) == 0.0
 
 
+def random_csr(rng, n, kind):
+    """A random n x n CSR array of a third of its entries: Hermitian,
+    near-Hermitian, non-Hermitian, Hermitian with mirrors dropped from
+    its pattern, or with duplicate entries left unsummed."""
+    a = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * (
+        rng.random((n, n)) < 0.3)
+    if kind in ("hermitian", "near", "asymmetric"):
+        a = a + a.conj().T
+    if kind == "near":
+        a = a + 1e-12 * rng.normal(size=(n, n)) * (a != 0)
+    if kind == "asymmetric":
+        a = np.triu(a) + np.tril(a, -1) * (rng.random((n, n)) < 0.5)
+    if kind != "duplicates":
+        return scipy.sparse.csr_array(a)
+    r, c = np.nonzero(a)
+    extra = rng.integers(0, len(r), size=len(r))
+    rows = np.concatenate([r, r[extra]])
+    order = np.argsort(rows, kind="stable")
+    data = np.concatenate([a[r, c], rng.normal(size=len(r))
+                           + 1j * rng.normal(size=len(r))])[order]
+    indptr = np.searchsorted(rows[order], np.arange(n + 1))
+    m = scipy.sparse.csr_array(
+        (data, np.concatenate([c, c[extra]])[order], indptr), shape=(n, n))
+    assert not m.has_canonical_format
+    return m
+
+
+@pytest.mark.parametrize("kind", ["hermitian", "near", "non-hermitian",
+                                  "asymmetric", "duplicates"])
+def test_hermiticity_defect_matches_dense_formula(kind):
+    # the defect read from the CSR data and its own pattern's transpose
+    # permutation is ||h - h^dagger||_F / max(1, ||h||_F) of the dense
+    # array: unstored mirrors count in full, duplicates are summed first
+    rng = np.random.default_rng(11)
+    for n in (8, 8, 24, 24):
+        m = random_csr(rng, n, kind)
+        d = m.toarray()
+        ref = np.linalg.norm(d - d.conj().T) / max(1.0, np.linalg.norm(d))
+        assert abs(hermiticity_defect(m) - ref) <= 1e-15 * ref
+        assert (ref == 0.0) == (kind == "hermitian")
+
+
 def test_literal_assembly_not_hermitian_but_consistent():
     f = affine([Var("q1")], Const(0.0))
     errs = []
@@ -491,20 +533,26 @@ def test_quantizer_pattern_holds_affine_plus_high_part():
         assert total.has_sorted_indices
 
 
+def step_unitary(h, dt, grid):
+    """exp(-i dt h) from the one eigendecomposition, taken back from the
+    gauged basis, and h's relative hermiticity defect."""
+    w, v, defect = evolution._eigh(h, grid)
+    u = evolution._exponential(v, np.exp(-1j * dt * w))
+    return evolution._ungauged(u, grid), defect
+
+
 def test_expm_accepts_sparse_generators():
-    # the step exponential of the evolution takes any sparse format and
+    # the step exponential of the evolution takes a CSR generator and
     # returns a dense unitary with the generator's hermiticity defect
     g = FiberGrid((24,), (3.0,))
     op = quantizer(P(1, {(1, 1): Const(0.5), (): Var("q1")}), g).operator()
-    u, defect = evolution._step_unitary(op, 0.3, g)
+    u, defect = step_unitary(op, 0.3, g)
     assert isinstance(u, np.ndarray) and defect == 0.0
-    assert np.array_equal(u, evolution._step_unitary(
-        scipy.sparse.csc_array(op), 0.3, g)[0])
     assert np.linalg.norm(u - scipy.linalg.expm(-0.3j * op.toarray())) < 1e-12
     left = quantizer(P(1, {(1, 1): Var("q1") ** 2}), g,
                      ordering="left").operator()
     with pytest.raises(RuntimeError, match="hermiticity"):
-        evolution._step_unitary(scipy.sparse.csc_array(left), 1.0, g)
+        step_unitary(left, 1.0, g)
 
 
 # -- polynomial quantization ---------------------------------------------
@@ -636,7 +684,7 @@ def test_expm_matches_scipy_and_is_unitary():
             (1,): q2, (): 0.2 * q1 * q2}))]
     for g, f in cases:
         h = quantizer(f, g).operator().toarray()
-        u, _ = evolution._step_unitary(scipy.sparse.csr_array(h), 0.37, g)
+        u, _ = step_unitary(scipy.sparse.csr_array(h), 0.37, g)
         ref = scipy.linalg.expm(-1j * 0.37 * h)
         assert np.linalg.norm(u - ref) < 1e-10
         assert np.linalg.norm(u @ u.conj().T - np.eye(g.size)) < 1e-12
@@ -645,8 +693,8 @@ def test_expm_matches_scipy_and_is_unitary():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
     with pytest.raises(RuntimeError, match="not real"):
-        evolution._step_unitary(scipy.sparse.csr_array(a + a.conj().T), 0.37,
-                                cases[0][0])
+        step_unitary(scipy.sparse.csr_array(a + a.conj().T), 0.37,
+                     cases[0][0])
 
 
 def test_expm_rejects_non_hermitian():
@@ -654,7 +702,7 @@ def test_expm_rejects_non_hermitian():
     m = quantizer(P(1, {(1, 1): Var("q1") ** 2}), g,
                   ordering="right").operator()
     with pytest.raises(RuntimeError, match="hermiticity"):
-        evolution._step_unitary(m, 1.0, g)
+        step_unitary(m, 1.0, g)
 
 
 # -- symbol layer --------------------------------------------------------
