@@ -58,20 +58,19 @@ commuting family that angle is read from the joint basis, as
 arg sum_k |a_k|^2 exp(-i (sigma_j - sigma_0) . W_k) with a = V^T S psi0.
 
 Small exponentials are applied, not formed, by series of sparse
-products whose generators are the quantizers' ``csr_array``s.  On a
-state, an adaptive Taylor series: the fine-step state propagator, on
-the same per-step generators the dense pass builds, and the state
-carried through the transport segments of a non-commuting family,
-where a segment whose one-norm bound exceeds ``TRANSPORT_SUBSTEP_NORM``
-is cut into equal substeps; a state step too large for the series
-raises instead.  On the N x N transport product of a non-commuting
-family, one real Chebyshev series per segment (Tal-Ezer and Kosloff):
-the gauged generator scaled by its Gershgorin bound R = ||h||_1 acts
-on the float view of the running product, which stays gauged from the
-identity to the end, and the Bessel tail of the term count K is known
-in advance (``TRANSPORT_TAIL_TOL``), so no segment is cut.  The
-pointwise generators are returned as ``csr_array``s, and U, U_geo, U_dyn
-and the geometric factor as ndarrays.
+products whose generators are the quantizers' ``csr_array``s.  A state
+step of H*, on the same per-step generators the dense pass builds,
+takes an adaptive Taylor series, which stops early on a smooth state;
+a step too large for the series raises.  Every transport walk of a
+non-commuting family, the N x N product U_geo and the state carried
+for the phase column alike, takes one real Chebyshev series per
+segment (Tal-Ezer and Kosloff, ``_chebyshev_walk``): the gauged
+generator scaled by its Gershgorin bound R = ||h||_1 acts on the float
+view of the walked block, which stays gauged from start to end, and
+the Bessel tail of the term count K is known in advance
+(``TRANSPORT_TAIL_TOL``), so no segment is cut.  The pointwise
+generators are returned as ``csr_array``s, and U, U_geo, U_dyn and the
+geometric factor as ndarrays.
 """
 
 from __future__ import annotations
@@ -127,11 +126,6 @@ __all__ = [
 _ZERO = Const(0.0)
 
 HERMITICITY_STEP_TOL = 1e-10
-# largest bound ||h||_1 of one Taylor substep of a state carried through
-# a transport segment: the series then converges within about 25 terms,
-# and no term exceeds twice the input, so the partial sums lose little
-# to cancellation
-TRANSPORT_SUBSTEP_NORM = 2.0
 # Taylor stopping tolerance of a state step relative to the state's
 # norm: its truncation sits far below the second-order step or segment
 # error
@@ -139,9 +133,9 @@ STATE_TAYLOR_TOL = 1e-13
 # a state's Taylor series still above its tolerance after this many
 # terms raises
 TAYLOR_MAX_TERMS = 64
-# bound on the Bessel tail 2 sum_{k > K} |J_k| that the Chebyshev series
-# of a transport segment drops: the product multiplies up to thousands
-# of factors, so each stops at rounding to stay unitary to about 1e-13
+# bound on the Bessel tail 2 sum_{k > K} |J_k| that each Chebyshev step
+# of a transport walk drops: a product multiplies up to thousands of
+# factors, so each stops at rounding to stay unitary to about 1e-13
 TRANSPORT_TAIL_TOL = 1e-16
 # the split: commutator samples, the relative commutator norm of a
 # commuting family, and the factorization defect it must close to
@@ -518,15 +512,6 @@ def evolve_time_ordered(dh: DrivenHamiltonian, steps: int,
 # -- geometric factor ----------------------------------------------------
 
 
-def _segments(dh: DrivenHamiltonian, times: np.ndarray):
-    """Yield each transport segment's generator G (``_steps``), the
-    segment width dt and the Gershgorin bound ||h||_1 of its spectrum."""
-    dt, rows = _steps(dh, times, dh.geometric_quantizer)
-    for h in rows:
-        yield h, dt, np.bincount(h.indices, weights=np.abs(h.data),
-                                 minlength=h.shape[1]).max()
-
-
 def _commuting_basis(dh: DrivenHamiltonian):
     """(V, W) with S A_lam S^dagger = V diag(W[lam]) V^T for every
     unit-rate coupling A_lam (G bound at v = e_lam) of a commuting
@@ -573,28 +558,24 @@ def _transport_phases(dh: DrivenHamiltonian, times: np.ndarray,
     A commuting family's transport to time j is S^dagger V diag(exp(-i
     c_j . W)) V^T S (``commuting_basis``) with c_j = sigma_j - sigma_0,
     so <psi0|psi_j> = sum_k |a_k|^2 exp(-i c_j . W_k) with a = V^T S
-    psi0, taken PHASE_BLOCK_ROWS times at once.  Any other family
-    carries psi0 through every segment with a Taylor series.
+    psi0, taken PHASE_BLOCK_ROWS times at once.  Any other family walks
+    S psi0 (``_chebyshev_walk``) and reads <S psi0|S psi_j> = <psi0|psi_j>.
     """
     if dh.path.is_constant():
         return np.zeros(len(times))
+    start = _gauge(dh.grid) * psi0
     if _commuting_family(dh):
         v, w = dh.commuting_basis
-        x = _gauge(dh.grid) * psi0
-        weights = (v.T @ x.real) ** 2 + (v.T @ x.imag) ** 2
+        weights = (v.T @ start.real) ** 2 + (v.T @ start.imag) ** 2
         sig = dh.path.values(times)
         c = sig - sig[0]
         overlaps = np.concatenate([
             np.exp(-1j * (c[lo:lo + PHASE_BLOCK_ROWS] @ w)) @ weights
             for lo in range(0, len(times), PHASE_BLOCK_ROWS)])
         return np.unwrap(np.angle(overlaps))
-    psi, args = psi0, [0.0]
-    for h, dt, norm1 in _segments(dh, times):
-        substeps = max(1, math.ceil(dt * norm1 / TRANSPORT_SUBSTEP_NORM))
-        for _ in range(substeps):
-            psi = _taylor_apply(h, psi, dt / substeps, STATE_TAYLOR_TOL)
-        args.append(np.angle(np.vdot(psi0, psi)))
-    return np.unwrap(args)
+    x = start.copy()
+    return np.unwrap([0.0, *(np.angle(np.vdot(start, x))
+                             for _ in _chebyshev_walk(dh, times, x))])
 
 
 def _geometric_product(dh: DrivenHamiltonian, times: np.ndarray):
@@ -603,7 +584,8 @@ def _geometric_product(dh: DrivenHamiltonian, times: np.ndarray):
     A constant path has zero increments, so U_geo is the identity; a
     commuting family telescopes to S^dagger V diag(exp(-i delta sigma .
     W)) V^T S of its ``commuting_basis``, delta sigma the window's
-    increment.
+    increment.  Any other family walks the identity through every
+    segment (``_chebyshev_walk``).
     """
     if dh.path.is_constant():
         return np.eye(dh.grid.size, dtype=complex)
@@ -612,55 +594,72 @@ def _geometric_product(dh: DrivenHamiltonian, times: np.ndarray):
         sig = dh.path.values(times[[0, -1]])
         e = np.exp(-1j * ((sig[1] - sig[0]) @ w))
         return _ungauged(_exponential(v, e), dh.grid)
+    u = np.eye(dh.grid.size, dtype=complex)
+    for _ in _chebyshev_walk(dh, times, u):
+        pass
+    return _ungauged(u, dh.grid)
 
-    # each segment's series acts on the running product u, kept in the
-    # gauged basis from the identity; every step works on the float view
-    # of u and on buffers of its size, allocated once per product
+
+def _chebyshev_walk(dh: DrivenHamiltonian, times: np.ndarray,
+                    x: np.ndarray):
+    """Apply exp(-i dt h) of each transport segment h over ``times``
+    (``_steps``) in turn, in place, to x, a gauged C-contiguous complex
+    vector or block, yielding after each step: the one walk of a
+    non-commuting transport.
+
+    Each h passes the one gate (``_gated``) and is gauged to real data
+    (``_gauged_data``); its step is one real Chebyshev series
+    (``_chebyshev_terms``) of that data scaled by 2/R, R = ||h||_1 the
+    Gershgorin bound, on the float view of x: 2k real columns for k
+    complex ones.
+    """
     from scipy.sparse._sparsetools import csr_matvecs
 
     n = dh.grid.size
-    u = np.eye(n, dtype=complex)
-    x = u.view(float).ravel()
+    flat = x.view(float).reshape(-1)
+    dt, rows = _steps(dh, times, dh.geometric_quantizer)
     slots = phases = None
-    for h, dt, r in _segments(dh, times):
+    for h in rows:
         if slots is None:
-            # every row of ``_segments`` fills one canonical pattern, whose
-            # shape the native products below rely on; the buffers are
-            # taken after the first block of rows is filled, so they do
-            # not add to the peak of the fill
-            if h.shape != u.shape:
+            # every row fills one canonical pattern, whose shape the
+            # native products below rely on; the buffers are taken after
+            # the first block of rows is filled, so they do not add to
+            # the peak of the fill
+            if h.shape != (n, n):
                 raise ValueError("transport generator does not match the grid")
             slots, phases = _transpose_slots(h), _entry_phases(h, dh.grid)
-            cur, even, odd, term = (np.empty_like(x) for _ in range(4))
+            cur, even, odd, term = (np.empty_like(flat) for _ in range(4))
         _gated(_pattern_defect(h.data, slots))
+        r = np.bincount(h.indices, weights=np.abs(h.data), minlength=n).max()
         if r == 0.0:
+            yield
             continue
         # b = 2 S h S^dagger / r, whose spectrum lies in [-2, 2]
         b = _gauged_data(h, phases, "transport generator") * (2.0 / r)
         signed = (-b, b)
         j = _chebyshev_terms(dt * r)
-        # S_k = (-1)^(k // 2) T_k(b / 2) u carries the signs of the
-        # coefficients 2 (-i)^k J_k, so that exp(-i dt h) u = E - i O with
+        # S_k = (-1)^(k // 2) T_k(b / 2) x carries the signs of the
+        # coefficients 2 (-i)^k J_k, so that exp(-i dt h) x = E - i O with
         # E = J_0 S_0 + 2 sum_{k even > 0} J_k S_k and O = 2 sum_{k odd}
         # J_k S_k; S_k = (-1)^(k - 1) b S_{k-1} + S_{k-2} is written over
         # S_{k-2}, one sparse product a term, and S_1 = (b / 2) S_0 over
         # S_{-1} = 0
-        np.multiply(x, j[0], out=even)
+        np.multiply(flat, j[0], out=even)
         odd.fill(0.0)
         cur.fill(0.0)
-        prev, now = cur, x
+        prev, now = cur, flat
         for k in range(1, len(j)):
-            csr_matvecs(n, n, 2 * n, h.indptr, h.indices,
+            csr_matvecs(n, n, len(flat) // n, h.indptr, h.indices,
                         signed[k % 2] if k > 1 else 0.5 * b, now, prev)
             prev, now = now, prev
             np.multiply(now, 2.0 * j[k], out=term)
             acc = odd if k % 2 else even
             acc += term
-        # u <- E - i O: multiplying by -i is exact
+        # x <- E - i O: multiplying by -i is exact
         o = odd.view(complex)
         o *= -1j
-        np.add(even.view(complex), o, out=x.view(complex))
-    return _ungauged(u, dh.grid)
+        np.add(even.view(complex), o, out=flat.view(complex))
+        yield
 
 
 def _chebyshev_terms(x: float) -> np.ndarray:
@@ -782,16 +781,15 @@ def _steps(dh: DrivenHamiltonian, times: np.ndarray, *quantizers):
     return (dt, *(_rows(q, *bound) for q in quantizers))
 
 
-def _taylor_apply(h: sp.csr_array, x: np.ndarray, dt: float,
-                  tol: float) -> np.ndarray:
-    """exp(-i dt h) applied to a state vector x.
+def _taylor_apply(h: sp.csr_array, x: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i dt h) applied to a state vector x: one step of H*.
 
-    The Taylor series stops at the first term whose norm is at most tol
-    times the norm of x; a smooth state stops well before the worst case
-    of h's spectrum.
+    The Taylor series stops at the first term whose norm is at most
+    STATE_TAYLOR_TOL times the norm of x; a smooth state stops well
+    before the worst case of h's spectrum.
     """
     flat = x.view(float)
-    bound = tol * tol * (flat @ flat)
+    bound = STATE_TAYLOR_TOL * STATE_TAYLOR_TOL * (flat @ flat)
     out = x.copy()
     term = x
     for j in range(1, TAYLOR_MAX_TERMS + 1):
@@ -855,7 +853,7 @@ def propagate_state(dh: DrivenHamiltonian, initial: WaveSection, steps: int,
 
     record(0)
     for j, h in enumerate(gens):
-        psi = _taylor_apply(h, psi, dt, STATE_TAYLOR_TOL)
+        psi = _taylor_apply(h, psi, dt)
         args.append(np.angle(np.vdot(psi0, psi)))
         if (j + 1) in rec_idx:
             record(j + 1)

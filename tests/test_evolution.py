@@ -417,10 +417,18 @@ def test_telescoped_transport_keeps_hermiticity_gate(monkeypatch):
 
 
 def test_transport_product_keeps_hermiticity_gate(monkeypatch):
+    # the product, the phase column and the state route's geometric
+    # column all walk the transport through the one gate
     dh = nonabelian_dh(n_grid=48)
+    initial = WaveSection.gaussian(dh.grid, center=0.3, momentum=0.7)
     monkeypatch.setattr(evolution, "_rows", literal_rows(dh))
     with pytest.raises(RuntimeError, match="hermiticity"):
         geometric_factor(dh, segments=4)
+    with pytest.raises(RuntimeError, match="hermiticity"):
+        evolution._transport_phases(dh, np.linspace(*dh.span, 5),
+                                    initial.values)
+    with pytest.raises(RuntimeError, match="hermiticity"):
+        propagate_state(dh, initial, 64, with_geometric=True)
 
 
 def noncommuting_dh(shape, coeffs, slope, radius, arc):
@@ -453,19 +461,29 @@ def noncommuting_dh(shape, coeffs, slope, radius, arc):
        arc=st.floats(1.0, TWO_PI), segments=st.integers(1, 64))
 def test_chebyshev_transport_matches_expm(shape, coeffs, slope, radius, arc,
                                           segments):
-    # the non-commuting product steps each segment by one real Chebyshev
-    # series over tau R from far below 1 to far above 2, and no block
-    # reaches the Taylor series
+    # the non-commuting product and phase column step each segment by one
+    # real Chebyshev series over tau R from far below 1 to far above 2,
+    # and neither reaches the Taylor series; the phases are those of a
+    # kicked packet, against the packet carried by the same exponentials
     dh = noncommuting_dh(shape, coeffs, slope, radius, arc)
     assert not evolution._commuting_family(dh)
+    times = np.linspace(*dh.span, segments + 1)
+    psi0 = WaveSection.gaussian(dh.grid, center=0.3, width=1.0,
+                                momentum=0.7).values
+    u_ref, psi, args = np.eye(dh.grid.size, dtype=complex), psi0, [0.0]
+    for step in expm_segments(dh, times):
+        u_ref, psi = step @ u_ref, step @ psi
+        args.append(np.angle(np.vdot(psi0, psi)))
 
     def no_series(*args):
-        raise AssertionError("a block reached the Taylor series")
+        raise AssertionError("a transport walk reached the Taylor series")
 
     with mock.patch.object(evolution, "_taylor_apply", no_series):
         u = geometric_factor(dh, segments=segments)
-    assert np.linalg.norm(u - expm_transport(dh, segments)) <= 1e-12
+        phases = evolution._transport_phases(dh, times, psi0)
+    assert np.linalg.norm(u - u_ref) <= 1e-12
     assert unitarity_defect(u) <= 1e-12
+    assert np.max(np.abs(phases - np.unwrap(args))) <= 1e-12
 
 
 @pytest.mark.parametrize("x", [1e-20, 0.5, 2.0, 18.0, 60.0])

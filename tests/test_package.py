@@ -4,6 +4,7 @@ import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,10 @@ import pytest
 import leafquant
 
 PACKAGE_DIR = Path(leafquant.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
+# an UPPER_SNAKE name between single or double backticks
+DOCUMENTED_CONSTANT = re.compile(
+    r"(`{1,2})([A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+)\1(?!`)")
 
 
 def test_every_export_resolves():
@@ -28,13 +33,38 @@ def test_every_export_resolves():
         assert hasattr(leafquant, name), f"leafquant.{name}"
 
 
+def test_documented_constants_resolve():
+    # a constant named in the README or in a docstring of the package is
+    # an attribute of one of its modules, so deleting a constant leaves
+    # no stale mention of it
+    modules = [leafquant] + [
+        importlib.import_module(f"leafquant.{info.name}")
+        for info in pkgutil.iter_modules([str(PACKAGE_DIR)])]
+    texts = [("README.md", README.read_text())]
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)):
+                doc = ast.get_docstring(node, clean=False)
+                if doc:
+                    where = getattr(node, "name", "module docstring")
+                    texts.append((f"{path.name}: {where}", doc))
+    named = {(where, match[2]) for where, text in texts
+             for match in DOCUMENTED_CONSTANT.finditer(text)}
+    assert named
+    stale = sorted((where, name) for where, name in named
+                   if not any(hasattr(module, name) for module in modules))
+    assert not stale
+
+
 @pytest.mark.parametrize("module", ["scipy.interpolate",
                                     "scipy.sparse.linalg", "scipy.linalg",
                                     "scipy.special"])
 def test_import_leaves_scipy_interpolate_unloaded(module):
     # only a path built from sampled knots needs the spline module, only
-    # a non-commuting transport product the Bessel functions, and no
-    # module of the package needs the sparse or dense solvers
+    # a non-commuting transport walk (the product or the phase column)
+    # the Bessel functions, and no module of the package needs the
+    # sparse or dense solvers
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")]))
