@@ -19,58 +19,48 @@ first use, and everything else binds numbers into these:
   transport, and a step of H* carries exactly its segment's
   increment, so a commuting split closes.
 - A commuting family (``_commuting_family``: couplings in q alone, and
-  one parameter or constant couplings) has unit-rate couplings A_lam
-  with one joint real eigenbasis V and eigenvalue rows W
-  (``DrivenHamiltonian.commuting_basis``, one ``_eigh`` per
-  ``DrivenHamiltonian``).  Its transport to any time depends only on
-  the increment delta sigma and is S^dagger V diag(exp(-i delta sigma
-  . W)) V^T S in closed form.
+  one parameter or constant couplings) has unit-rate couplings with one
+  joint real eigenbasis V and eigenvalue rows W (``commuting_basis``,
+  one ``_eigh``), so its transport to any time is S^dagger V
+  diag(exp(-i delta sigma . W)) V^T S in closed form.
 - The classical flow is the Hamiltonian vector field of H*, its
   coefficients compiled once per ``DrivenHamiltonian``
   (``classical_field``).
 
-``_steps`` reads the path once per call, at a window's times;
-``_rows`` fills blocks of at most ``BLOCK_BYTES`` of complex entries
-and points one reused CSR array at each row.  The classical flow reads
-the path at all its RK4 stage times at once and binds each stage as one
-dict of Python floats.
+``_steps`` reads the path once per call, at a window's times, and
+``_rows`` fills blocks of at most ``BLOCK_BYTES`` and points one reused
+CSR array at each row; the classical flow reads the path at all its RK4
+stage times at once.
 
-The dense pass forms U and the transport product U_geo once per window;
-the split reads both and forms only U_dyn.  U and U_dyn are products of
-exact eigendecomposition exponentials, so unitarity holds to rounding
-at every step count.  Every grid axis has an even number of points, and
-there the diagonal gauge S = diag(i^(j_1 + ... + j_n)) of
-``operators._gauge`` turns each quantized generator h into the real
-symmetric S h S^dagger, its data the CSR data of h times the exact
-phase i^(index offset) of each entry (``_entry_phases``,
-``_gauged_data``).  Every generator passes the one gate: its relative
-hermiticity defect, read from the CSR data (``hermiticity_defect``), at
-most ``HERMITICITY_STEP_TOL``.  ``_eigh`` is the one
-eigendecomposition: the gauged data must be exactly real, it is made a
-dense float64 array only for LAPACK, and the eigenvectors V are real.
-The step product keeps U and the carried state in the gauged basis and
-applies each step as V (e * (V^T x)) through real GEMMs; the transport
-of a commuting family forms V diag(e) V^T of its joint basis once.  The
-geometric phase, fine-step column and coarse value alike, is the
+Every grid axis has an even number of points, so the diagonal gauge S
+of ``operators._gauge`` makes each quantized generator h the real
+symmetric S h S^dagger, and every row filled here is that float64 data
+(``Quantizer.block``).  U, U_geo, U_dyn and every carried state stay
+gauged and are taken back, exactly, where they are read.  Every
+generator passes the one gate: its relative hermiticity defect
+(``hermiticity_defect``, which the gauge keeps) at most
+``HERMITICITY_STEP_TOL``.  The dense pass forms U and U_geo once per
+window, and the split reads both and forms only U_dyn.  U and U_dyn are
+products of exact step exponentials, so unitarity holds to rounding at
+every step count; each step comes from the one eigendecomposition
+``_eigh``, whose eigenvectors V are real, and acts as V (e * (V^T x))
+through real GEMMs.  The transport of a commuting family is
+V diag(e) V^T of its joint basis.
+The geometric phase, fine column and coarse value alike, is the
 unwrapped angle of the initial state carried through the transport
-segments over the times asked for (``_transport_phases``); for a
-commuting family that angle is read from the joint basis, as
-arg sum_k |a_k|^2 exp(-i (sigma_j - sigma_0) . W_k) with a = V^T S psi0.
+segments (``_transport_phases``).
 
-Small exponentials are applied, not formed, by series of sparse
-products whose generators are the quantizers' ``csr_array``s.  A state
-step of H*, on the same per-step generators the dense pass builds,
-takes an adaptive Taylor series, which stops early on a smooth state;
-a step too large for the series raises.  Every transport walk of a
-non-commuting family, the N x N product U_geo and the state carried
-for the phase column alike, takes one real Chebyshev series per
-segment (Tal-Ezer and Kosloff, ``_chebyshev_walk``): the gauged
-generator scaled by its Gershgorin bound R = ||h||_1 acts on the float
-view of the walked block, which stays gauged from start to end, and
-the Bessel tail of the term count K is known in advance
-(``TRANSPORT_TAIL_TOL``), so no segment is cut.  The pointwise
-generators are returned as ``csr_array``s, and U, U_geo, U_dyn and the
-geometric factor as ndarrays.
+Smaller exponentials are applied, not formed, by series whose every
+term is one native ``csr_matvecs`` product of a gauged row on the float
+view of a complex vector or block.  A state step of H* takes an
+adaptive Taylor series (``_taylor_apply``), which stops early on a
+smooth state and raises on a step too large for it.  Every walk of a
+non-commuting transport, U_geo and the phase column alike, takes one
+real Chebyshev series per segment (Tal-Ezer and Kosloff,
+``_chebyshev_walk``) of the row scaled by its Gershgorin bound, whose
+Bessel tail (``TRANSPORT_TAIL_TOL``) fixes the term count in advance.
+The pointwise generators are returned as ``csr_array``s, and U, U_geo,
+U_dyn and the geometric factor as ndarrays.
 """
 
 from __future__ import annotations
@@ -82,6 +72,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvecs
 
 from .bundle import BundleModel, ParameterPath
 from .expressions import Const, EvaluationError, Var
@@ -142,8 +133,9 @@ TRANSPORT_TAIL_TOL = 1e-16
 SPLIT_SAMPLES = 32
 COMMUTING_THRESHOLD = 1e-10
 SPLIT_TOL = 1e-8
-# bytes of complex generator data filled at once: a long window is
-# sampled in blocks of rows, so it adds little to peak memory
+# bytes of gauged generator data (8-byte float entries) filled at once:
+# a long window is sampled in blocks of rows, so it adds little to peak
+# memory
 BLOCK_BYTES = 1 << 20
 # times of a commuting family's phase column taken at once: the column's
 # exponential table then holds at most this many rows of N entries
@@ -367,40 +359,12 @@ def _gated(defect: float) -> float:
     return defect
 
 
-def _entry_phases(h: sp.csr_array, grid: FiberGrid) -> np.ndarray:
-    """S_i conj(S_j) at each stored entry (i, j) of h's pattern: the
-    exact phase i^(index offset) that gauges the entry (``_gauge``)."""
-    s = _gauge(grid)
-    row = np.repeat(np.arange(len(s)), np.diff(h.indptr))
-    return s[row] * s.conj()[h.indices]
-
-
-def _gauged_data(h: sp.csr_array, phases: np.ndarray,
-                 what: str) -> np.ndarray:
-    """The float64 data of S h S^dagger on h's pattern, from the entry
-    phases of ``_entry_phases``: each product is exact, and its
-    imaginary part must be exactly zero."""
-    data = h.data * phases
-    if np.any(data.imag):
-        raise RuntimeError(
-            f"gauged {what} is not real (largest imaginary part "
-            f"{np.abs(data.imag).max():.3e})")
-    return data.real
-
-
-def _eigh(h: sp.csr_array, grid: FiberGrid):
-    """(w, V, defect) with h = S^dagger V diag(w) V^T S: the one
-    eigendecomposition.
-
-    h passes the gate (``_gated``), its gauged data S h S^dagger (S of
-    ``operators._gauge``) must have an imaginary part of exactly zero,
-    and numpy's ``eigh`` decomposes that data made a float64 array, so
-    V is real orthogonal.
-    """
+def _eigh(h: sp.csr_array):
+    """(w, V, defect) with h = V diag(w) V^T for a gauged real h: the
+    one eigendecomposition, of h made dense after the gate (``_gated``),
+    so V is real orthogonal."""
     defect = _gated(hermiticity_defect(h))
-    data = _gauged_data(h, _entry_phases(h, grid), "step generator")
-    real = sp.csr_array((data, h.indices, h.indptr), shape=h.shape).toarray()
-    w, v = np.linalg.eigh(real)
+    w, v = np.linalg.eigh(h.toarray())
     return w, v, defect
 
 
@@ -432,10 +396,9 @@ def _step_product(q: Quantizer, dh: DrivenHamiltonian, times: np.ndarray,
     rows, a static window's one step taken to the power: (U, worst
     defect, ``psi`` carried along, its overlaps with ``psi`` per step).
 
-    U and the state stay in the gauged basis (``_gauge``), where a step
-    is V diag(e) V^T with V real (``_eigh``): the first is formed, every
-    later one acts on U as V (e * (V^T U)) through real GEMMs, and both
-    are taken back at the end.
+    U and the state stay gauged: the first step V diag(e) V^T is
+    formed, every later one acts as V (e * (V^T U)), and both are taken
+    back at the end.
     """
     steps = len(times) - 1
     s = _gauge(dh.grid)
@@ -443,7 +406,7 @@ def _step_product(q: Quantizer, dh: DrivenHamiltonian, times: np.ndarray,
     u, max_defect, overlaps = None, 0.0, []
     x = start = None if psi is None else s * psi
     for h in rows:
-        w, v, defect = _eigh(h, dh.grid)
+        w, v, defect = _eigh(h)
         max_defect = max(max_defect, defect)
         e = np.exp(-1j * dt * w)
         if x is not None:
@@ -517,32 +480,25 @@ def _commuting_basis(dh: DrivenHamiltonian):
     unit-rate coupling A_lam (G bound at v = e_lam) of a commuting
     family, V real orthogonal.
 
-    V is the ``_eigh`` basis of sum_lam pi^(1 - lam) A_lam: the first
-    weight is 1, so one parameter decomposes A itself, and the others
-    are transcendental, so joint eigenspaces of distinct eigenvalue rows
-    do not meet.  W[lam] holds the diagonal of V^T S A_lam S^dagger V,
-    formed from the sparse product of A_lam's gauged data with V, and
-    the residual S A_lam S^dagger V - V diag(W[lam]), the off-diagonal
-    part in Frobenius norm, must stay within COMMUTING_THRESHOLD of
-    A_lam.  The combination passes the gate of ``_eigh``, and the
-    residual bounds each A_lam's hermiticity defect by twice as much.
-    Every row is filled through ``_rows``; the couplings of a commuting
-    family depend on q alone, so t and s bind to zero.
+    V is the ``_eigh`` basis of sum_lam pi^(1 - lam) A_lam: one
+    parameter decomposes A itself, and the transcendental weights keep
+    joint eigenspaces of distinct eigenvalue rows apart.  W[lam] is the
+    diagonal of V^T S A_lam S^dagger V, and the off-diagonal residual
+    must stay within COMMUTING_THRESHOLD of A_lam in Frobenius norm,
+    which bounds its hermiticity defect by twice as much.  The rows are
+    filled through ``_rows``, with t and s bound to zero.
     """
     m = dh.bundle.n_parameters
     rate = np.vstack([np.pi ** -np.arange(m), np.eye(m)])
     zeros = np.zeros((m + 1, m))
     rows = _rows(dh.geometric_quantizer, zeros[:, 0], zeros, rate)
-    h = next(rows)
-    phases = _entry_phases(h, dh.grid)
-    _, v, _ = _eigh(h, dh.grid)
+    _, v, _ = _eigh(next(rows))
     w = np.empty((m, len(v)))
     for lam, h in enumerate(rows):
-        data = _gauged_data(h, phases, f"coupling {lam + 1}")
-        av = sp.csr_array((data, h.indices, h.indptr), shape=h.shape) @ v
+        av = h @ v
         w[lam] = np.einsum("ij,ij->j", v, av)
         residual = np.linalg.norm(av - v * w[lam])
-        if residual > COMMUTING_THRESHOLD * np.linalg.norm(data):
+        if residual > COMMUTING_THRESHOLD * np.linalg.norm(h.data):
             raise RuntimeError(
                 f"coupling {lam + 1} is not diagonal in the joint basis "
                 f"(off-diagonal norm {residual:.3e})")
@@ -556,10 +512,10 @@ def _transport_phases(dh: DrivenHamiltonian, times: np.ndarray,
     zero throughout on a constant path.
 
     A commuting family's transport to time j is S^dagger V diag(exp(-i
-    c_j . W)) V^T S (``commuting_basis``) with c_j = sigma_j - sigma_0,
-    so <psi0|psi_j> = sum_k |a_k|^2 exp(-i c_j . W_k) with a = V^T S
-    psi0, taken PHASE_BLOCK_ROWS times at once.  Any other family walks
-    S psi0 (``_chebyshev_walk``) and reads <S psi0|S psi_j> = <psi0|psi_j>.
+    c_j . W)) V^T S (``commuting_basis``), c_j = sigma_j - sigma_0, so
+    <psi0|psi_j> = sum_k |a_k|^2 exp(-i c_j . W_k), a = V^T S psi0, taken
+    PHASE_BLOCK_ROWS times at once.  Any other family walks S psi0
+    (``_chebyshev_walk``) and reads <S psi0|S psi_j> = <psi0|psi_j>.
     """
     if dh.path.is_constant():
         return np.zeros(len(times))
@@ -607,18 +563,15 @@ def _chebyshev_walk(dh: DrivenHamiltonian, times: np.ndarray,
     vector or block, yielding after each step: the one walk of a
     non-commuting transport.
 
-    Each h passes the one gate (``_gated``) and is gauged to real data
-    (``_gauged_data``); its step is one real Chebyshev series
-    (``_chebyshev_terms``) of that data scaled by 2/R, R = ||h||_1 the
-    Gershgorin bound, on the float view of x: 2k real columns for k
-    complex ones.
+    Each gauged real h passes the one gate (``_gated``); its step is one
+    real Chebyshev series (``_chebyshev_terms``) of h's data scaled by
+    2/R, R = ||h||_1 the Gershgorin bound, on the float view of x: 2k
+    real columns for k complex ones.
     """
-    from scipy.sparse._sparsetools import csr_matvecs
-
     n = dh.grid.size
     flat = x.view(float).reshape(-1)
     dt, rows = _steps(dh, times, dh.geometric_quantizer)
-    slots = phases = None
+    slots = None
     for h in rows:
         if slots is None:
             # every row fills one canonical pattern, whose shape the
@@ -627,15 +580,15 @@ def _chebyshev_walk(dh: DrivenHamiltonian, times: np.ndarray,
             # the peak of the fill
             if h.shape != (n, n):
                 raise ValueError("transport generator does not match the grid")
-            slots, phases = _transpose_slots(h), _entry_phases(h, dh.grid)
+            slots = _transpose_slots(h)
             cur, even, odd, term = (np.empty_like(flat) for _ in range(4))
         _gated(_pattern_defect(h.data, slots))
         r = np.bincount(h.indices, weights=np.abs(h.data), minlength=n).max()
         if r == 0.0:
             yield
             continue
-        # b = 2 S h S^dagger / r, whose spectrum lies in [-2, 2]
-        b = _gauged_data(h, phases, "transport generator") * (2.0 / r)
+        # b = 2 h / r, whose spectrum lies in [-2, 2]
+        b = h.data * (2.0 / r)
         signed = (-b, b)
         j = _chebyshev_terms(dt * r)
         # S_k = (-1)^(k // 2) T_k(b / 2) x carries the signs of the
@@ -692,10 +645,9 @@ def geometric_factor(dh: DrivenHamiltonian, t_end: float | None = None,
 
     Path-ordered product of exp(-i dt G) over uniform clock segments,
     G bound by ``_steps`` to the rates delta sigma / dt, so only the
-    traced image curve enters.  When every coupling component is
-    parameter-free and the family commutes (single parameter, or
-    constant components) the increments telescope and a single
-    exponential is taken.  A constant path gives the identity.
+    traced image curve enters.  A commuting family telescopes to one
+    exponential, and a constant path gives the identity
+    (``_geometric_product``).
     """
     if segments < 1:
         raise ValueError("segments must be at least 1")
@@ -753,16 +705,17 @@ def split_evolution(dh: DrivenHamiltonian, full: EvolutionResult):
 
 
 def _blocks(count: int, nnz: int) -> list[slice]:
-    """Slices cutting ``count`` rows of ``nnz`` complex entries into
+    """Slices cutting ``count`` rows of ``nnz`` float entries into
     blocks of at most BLOCK_BYTES, and at least one row."""
-    width = max(1, BLOCK_BYTES // (16 * nnz))
+    width = max(1, BLOCK_BYTES // (8 * nnz))
     return [slice(lo, lo + width) for lo in range(0, count, width)]
 
 
 def _rows(q: Quantizer, t: np.ndarray, sigma: np.ndarray, rate: np.ndarray):
-    """Yield ``q``'s operator at each row of (t, sigma, rate), filled a
-    block at a time (``_blocks``) and valid until the next is yielded."""
-    h = q.csr(np.zeros(q.nnz, dtype=complex))
+    """Yield ``q``'s gauged real operator at each row of (t, sigma,
+    rate), filled a block at a time (``_blocks``) and valid until the
+    next is yielded."""
+    h = q.csr(np.zeros(q.nnz))
     for rows in _blocks(len(t), q.nnz):
         for row in q.block(t[rows], sigma[rows], rate[rows]):
             h.data = row
@@ -782,18 +735,23 @@ def _steps(dh: DrivenHamiltonian, times: np.ndarray, *quantizers):
 
 
 def _taylor_apply(h: sp.csr_array, x: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i dt h) applied to a state vector x: one step of H*.
+    """exp(-i dt h) applied to a gauged state vector x: one step of H*.
 
-    The Taylor series stops at the first term whose norm is at most
+    Each term is one native product of the real h on the float view of
+    x.  The Taylor series stops at the first term whose norm is at most
     STATE_TAYLOR_TOL times the norm of x; a smooth state stops well
     before the worst case of h's spectrum.
     """
+    n = len(x)
     flat = x.view(float)
     bound = STATE_TAYLOR_TOL * STATE_TAYLOR_TOL * (flat @ flat)
     out = x.copy()
-    term = x
+    term, spare = x.copy(), np.empty_like(x)
     for j in range(1, TAYLOR_MAX_TERMS + 1):
-        term = h @ term
+        spare.fill(0.0)
+        csr_matvecs(n, n, 2, h.indptr, h.indices, h.data, term.view(float),
+                    spare.view(float))
+        term, spare = spare, term
         term *= -1j * dt / j
         out += term
         flat = term.view(float)
@@ -809,10 +767,9 @@ def propagate_state(dh: DrivenHamiltonian, initial: WaveSection, steps: int,
                     with_geometric: bool = True) -> StateTrajectory:
     """Propagate a state at fine step counts without per-step eigh.
 
-    Each step takes H* bound by ``_steps``, as the dense pass does,
-    and applies exp(-i dt H*) by an adaptive Taylor series of
-    matrix-vector products.  The generators are filled in blocks of
-    steps (``_rows``); a static window is one row.  The
+    Each step applies exp(-i dt H*), H* bound by ``_steps`` as in the
+    dense pass and filled in blocks of steps (``_rows``; a static window
+    is one row), to the gauged state S psi (``_taylor_apply``).  The
     total phase column is the unwrapped angle of the state on the
     initial one; the geometric column (``with_geometric``) is that of
     the initial state carried through the transport segments over the
@@ -829,8 +786,9 @@ def propagate_state(dh: DrivenHamiltonian, initial: WaveSection, steps: int,
     times = np.linspace(t0, t1, steps + 1)
     grid = dh.grid
     n, m = grid.dim, dh.bundle.n_parameters
-    psi0 = initial.values.copy()
-    psi = psi0.copy()
+    s = _gauge(grid)
+    psi = psi0 = initial.values.copy()
+    x, back = s * psi0, s.conj()
 
     # a static window is its first step's row for every step
     static = _is_static(dh)
@@ -853,7 +811,10 @@ def propagate_state(dh: DrivenHamiltonian, initial: WaveSection, steps: int,
 
     record(0)
     for j, h in enumerate(gens):
-        psi = _taylor_apply(h, psi, dt)
+        x = _taylor_apply(h, x, dt)
+        # out of the gauge, exactly: the overlap and the records then sum
+        # the same products as on the ungauged state
+        psi = back * x
         args.append(np.angle(np.vdot(psi0, psi)))
         if (j + 1) in rec_idx:
             record(j + 1)

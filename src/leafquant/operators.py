@@ -13,13 +13,14 @@ affine factorization of a higher polynomial only the first factor of
 each product has a coefficient that is not a function of q, so the
 product is a fixed linear map of its samples.  ``quantizer`` builds one
 CSR pattern per observable (the banded stencil for an affine one) and
-that map; an assembly only fills values, and
+that map, with the diagonal gauge S of ``_gauge`` folded in once: a
+fill (``Quantizer.block``) is the real data of S h S^dagger, and
 ``quantizer(f, grid, cover, ordering).operator(t, sigma, rate)`` is the
-operator at one point.  Quantized operators are ``scipy.sparse``
-``csr_array``s; exponentials and their products (``evolution``) are
-dense ndarrays.  A small operator-symbol layer mirrors first-order
-operators symbolically so the commutator algebra can be checked
-without any grid.
+complex operator h at one point.  Quantized operators are
+``scipy.sparse`` ``csr_array``s; exponentials and their products
+(``evolution``) are dense ndarrays.  A small operator-symbol layer
+mirrors first-order operators symbolically so the commutator algebra
+can be checked without any grid.
 """
 
 from __future__ import annotations
@@ -184,11 +185,11 @@ def _gauge(grid: FiberGrid) -> np.ndarray:
     """The diagonal of S = diag(i^(j_1 + ... + j_n)) over the grid
     indices (C order), from the exact values {1, i, -1, -i}, read-only.
 
-    A term of momentum degree d in a symmetric-ordered quantized
-    observable with real coefficients is (-i)^d times a real matrix
-    whose entries sit at index offsets of the parity of d; with an even
-    number of points per axis the periodic wrap keeps that parity, and
-    S h S^dagger is real symmetric, exactly in floating point.
+    A term of momentum degree d in a quantized observable with real
+    coefficients is (-i)^d times a real matrix whose entries sit at
+    index offsets of the parity of d; with an even number of points per
+    axis the periodic wrap keeps that parity, and S h S^dagger is real,
+    exactly in floating point (symmetric for the symmetric ordering).
     """
     s = np.array([1, 1j, -1, -1j])[np.indices(grid.shape).sum(axis=0).ravel()
                                    % 4]
@@ -196,13 +197,31 @@ def _gauge(grid: FiberGrid) -> np.ndarray:
     return s
 
 
+def _phases(grid: FiberGrid, indptr, indices) -> np.ndarray:
+    """The exact S_i conj(S_j) (``_gauge``) at each entry of a CSR pattern."""
+    s = _gauge(grid)
+    return np.repeat(s, np.diff(indptr)) * s.conj()[indices]
+
+
+def _real(values: np.ndarray) -> np.ndarray:
+    """Gauged values as a C-contiguous float64 copy: the one conversion
+    out of complex, and every imaginary part must be exactly 0.0."""
+    if np.any(values.imag):
+        raise RuntimeError(
+            f"gauged generator is not real (largest imaginary part "
+            f"{np.abs(values.imag).max():.3e})")
+    return values.real.copy()
+
+
 @dataclass(frozen=True)
 class _Stencil:
     """CSR pattern of the diagonal and every axis difference on a grid.
 
     ``rows[k]``, ``cols[k]`` and ``steps[k]`` list the nonzero entries
-    of the central difference D_k (steps are +-1/(2h_k)); ``slots[k]``
-    and ``diagonal`` give their positions in the CSR data array.
+    d_ij of the central difference D_k (steps are +-1/(2h_k)), and
+    ``drift_signs[k]`` the real S_i conj(S_j) (-i/2) = +-1/2 that the
+    gauge gives their drift term -(i/2) d_ij (a_i + a_j); ``slots[k]``
+    and ``diagonal`` give their positions in the CSR data.
     """
 
     indptr: np.ndarray
@@ -211,11 +230,8 @@ class _Stencil:
     rows: tuple[np.ndarray, ...]
     cols: tuple[np.ndarray, ...]
     steps: tuple[np.ndarray, ...]
+    drift_signs: tuple[np.ndarray, ...]
     slots: tuple[np.ndarray, ...]
-
-    def csr(self, data: np.ndarray) -> sp.csr_array:
-        n = len(self.indptr) - 1
-        return sp.csr_array((data, self.indices, self.indptr), shape=(n, n))
 
 
 @lru_cache(maxsize=64)
@@ -237,9 +253,11 @@ def _stencil(grid: FiberGrid) -> _Stencil:
     slots = [np.searchsorted(pattern, key) for key in keys]
     indptr = np.searchsorted(pattern, np.arange(n + 1) * n).astype(np.int32)
     indices = (pattern % n).astype(np.int32)
+    phases = _phases(grid, indptr, indices)
+    signs = tuple(_real(-0.5j * phases[slot]) for slot in slots[1:])
     st = _Stencil(indptr, indices, slots[0], tuple(rows), tuple(cols),
-                  tuple(steps), tuple(slots[1:]))
-    for a in (indptr, indices, *slots, *rows, *cols, *steps):
+                  tuple(steps), signs, tuple(slots[1:]))
+    for a in (indptr, indices, *slots, *rows, *cols, *steps, *signs):
         a.flags.writeable = False
     return st
 
@@ -251,7 +269,7 @@ def derivative_matrix(grid: FiberGrid, axis: int = 0) -> sp.csr_array:
     st = _stencil(grid)
     data = np.zeros(len(st.indices), dtype=complex)
     data[st.slots[axis]] = st.steps[axis]
-    return st.csr(data)
+    return sp.csr_array((data, st.indices, st.indptr), shape=(grid.size,) * 2)
 
 
 def _sample(expr: Expression, binding: dict, size: int) -> np.ndarray:
@@ -296,13 +314,14 @@ def _difference_sums(st: _Stencil, ax: int, a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Quantizer:
-    """The operator of one observable as a fill of one fixed CSR pattern.
+    """The operator h of one observable as a fill of one fixed CSR
+    pattern, in the gauge: a fill is the real data of S h S^dagger.
 
     ``drift`` (a_1..a_n) and ``potential`` (b), the trees of the affine
     slice, fill the stencil entries at ``slots`` and ``diagonal``.  Per
     product of the affine factorization with first factor c p_k,
-    ``high`` holds (k, c, weights): the weights map that factor's
-    entries -(1/2) d_ij (c_i + c_j) to the product's data.
+    ``high`` holds (k, c, weights): the real weights map that factor's
+    entries -(1/2) d_ij (c_i + c_j) to the product's gauged data.
     """
 
     grid: FiberGrid
@@ -323,7 +342,7 @@ class Quantizer:
                             shape=(self.grid.size,) * 2)
 
     def block(self, t, sigma, rate=()) -> np.ndarray:
-        """C-contiguous (k, nnz) CSR data of the operator at k rows.
+        """C-contiguous float64 (k, nnz) data of S h S^dagger at k rows.
 
         ``t`` has k entries, ``sigma`` (s1..sm) and ``rate`` (v1..vm,
         may be empty) k rows each.  Every tree is sampled once over the
@@ -332,10 +351,10 @@ class Quantizer:
         trees = (*self.drift, self.potential, *(c for _, c, _ in self.high))
         binding, k = _binding(self.grid, t, sigma, rate, trees)
         st, n = _stencil(self.grid), self.grid.size
-        data = np.zeros((k, self.nnz), dtype=complex)
+        data = np.zeros((k, self.nnz))
         data[:, self.diagonal] = _sample(self.potential, binding, n)
         for ax, a in enumerate(self.drift):
-            data[:, self.slots[ax]] = (-0.5j) * _difference_sums(
+            data[:, self.slots[ax]] = st.drift_signs[ax] * _difference_sums(
                 st, ax, _sample(a, binding, n))
         if self.high:
             # a coefficient equal in every row is multiplied out once;
@@ -347,8 +366,10 @@ class Quantizer:
 
     def operator(self, t: float = 0.0, sigma: Sequence[float] = (),
                  rate: Sequence[float] = ()) -> sp.csr_array:
-        """The operator at one (t, sigma, rate): a one-row block."""
-        return self.csr(self.block([t], [sigma], [rate])[0])
+        """The complex operator h at one (t, sigma, rate): a one-row
+        block taken back from the gauge."""
+        return self.csr(self.block([t], [sigma], [rate])[0] * _phases(
+            self.grid, self.indptr, self.indices).conj())
 
 
 def _orders(d: int, ordering: str) -> list[tuple[int, ...]]:
@@ -387,6 +408,8 @@ def quantizer(f: PolynomialObservable, grid: FiberGrid,
     folding the adjoint into the weights (Hermitian to the bit), and
     ``left``/``right`` keep one-sided products, retained to expose the
     ordering ambiguity.  An affine observable keeps the stencil pattern.
+    The gauge is folded in once: each weight is multiplied by the phase
+    of its entry and must come out real (``_real``).
     """
     if ordering not in ORDERINGS:
         raise ValueError(f"ordering must be one of {ORDERINGS}")
@@ -418,19 +441,21 @@ def quantizer(f: PolynomialObservable, grid: FiberGrid,
     pattern = np.unique(np.concatenate(
         (stencil, keys, keys % n * n + keys // n)))
     mirror = np.searchsorted(pattern, pattern % n * n + pattern // n)
+    indptr = np.searchsorted(pattern, np.arange(n + 1) * n).astype(np.int32)
+    indices = (pattern % n).astype(np.int32)
+    phases = _phases(grid, indptr, indices)
     high = []
     for ax, c, e, key, v in products:
-        weights = sp.csr_array((v, (e, np.searchsorted(pattern, key))),
+        col = np.searchsorted(pattern, key)
+        weights = sp.csr_array((_real(v * phases[col]), (e, col)),
                                shape=(2 * n, len(pattern)))
         if ordering == "symmetric":
-            # every fill is then Hermitian to the bit
-            weights = (weights + weights[:, mirror].conj()) / 2
+            # every fill is then symmetric to the bit
+            weights = (weights + weights[:, mirror]) / 2
         high.append((ax, c, weights))
     place = np.searchsorted(pattern, stencil)
-    indptr = np.searchsorted(pattern, np.arange(n + 1) * n).astype(np.int32)
-    return Quantizer(grid, indptr, (pattern % n).astype(np.int32), tuple(a),
-                     b, place[st.diagonal], tuple(place[s] for s in st.slots),
-                     tuple(high))
+    return Quantizer(grid, indptr, indices, tuple(a), b, place[st.diagonal],
+                     tuple(place[s] for s in st.slots), tuple(high))
 
 
 def quantize_affine_literal(f: PolynomialObservable, grid: FiberGrid,
@@ -458,7 +483,7 @@ def quantize_affine_literal(f: PolynomialObservable, grid: FiberGrid,
         data[st.slots[k]] = (-1j) * (ak[st.rows[k]] * st.steps[k])
         divergence = divergence + sample(a[k].diff(f"q{k + 1}"))
     data[st.diagonal] = sample(b) + (-0.5j) * divergence
-    return st.csr(data)
+    return sp.csr_array((data, st.indices, st.indptr), shape=(grid.size,) * 2)
 
 
 def inner_product(a: WaveSection, b: WaveSection) -> complex:

@@ -11,6 +11,7 @@ slot, so a bad config never reaches the propagators.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -20,7 +21,7 @@ import jsonschema
 import numpy as np
 
 from .bundle import BundleModel, ParameterPath, reparametrize_path
-from .expressions import Expression, ParseError, parse_expr
+from .expressions import EvaluationError, Expression, ParseError, parse_expr
 from .observables import BumpCover, PolynomialObservable
 from .operators import ORDERINGS, FiberGrid
 from .evolution import DrivenHamiltonian
@@ -229,6 +230,18 @@ def _pointer(parts) -> str:
     return "/" + "/".join(str(p) for p in parts) if parts else ""
 
 
+def _finite_check(value: Any, parts: tuple = ()):
+    """Raise ScenarioError at the first NaN or infinity, which json reads."""
+    if isinstance(value, float) and not math.isfinite(value):
+        pointer = _pointer(parts)
+        raise ScenarioError(
+            f"non-finite number {value} at {pointer or '/'}", pointer)
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        _finite_check(item, (*parts, key))
+
+
 def _schema_check(doc: Any):
     validator = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
     errors = sorted(validator.iter_errors(doc),
@@ -268,6 +281,7 @@ def _vector(value, n, pointer, default) -> np.ndarray:
 
 def parse_scenario(doc: dict, name: str = "scenario") -> ScenarioConfig:
     """Validate a config document and build all domain objects."""
+    _finite_check(doc)
     _schema_check(doc)
     m = doc["dims"]["m"]
     n = doc["dims"]["n"]
@@ -329,7 +343,7 @@ def parse_scenario(doc: dict, name: str = "scenario") -> ScenarioConfig:
                 closed=pdoc.get("closed", False))
     except ScenarioError:
         raise
-    except ValueError as exc:
+    except (ValueError, EvaluationError) as exc:
         raise ScenarioError(f"/path: {exc}", "/path") from None
     if path.n_parameters != m:
         raise ScenarioError(
@@ -391,7 +405,7 @@ def parse_scenario(doc: dict, name: str = "scenario") -> ScenarioConfig:
         warp = _parse_field(doc["reparam"]["warp"], ["t"], "/reparam/warp")
         try:
             reparametrize_path(path, warp)
-        except ValueError as exc:
+        except (ValueError, EvaluationError) as exc:
             raise ScenarioError(f"/reparam/warp: {exc}",
                                 "/reparam/warp") from None
 

@@ -185,6 +185,26 @@ def test_validation_error_exit_code(tmp_path, capsys):
     assert main(["run", str(cfg_file), "--steps", "0"]) == 1
 
 
+def test_scenario_evaluation_errors_exit_code(tmp_path, capsys):
+    # a tree that is not finite at a checked point of the path or the
+    # warp is a validation error, not a traceback
+    doc = tiny_doc(reparam={"warp": "1/t"})
+    assert main(["run", str(write_doc(tmp_path, doc))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: /reparam/warp: ")
+    doc = tiny_doc(dims={"m": 2, "n": 1},
+                   connection={"lambda": [["1", "1"]]},
+                   path={"kind": "closed_form", "span": [0.0, 2.0],
+                         "components": ["1/t", "0.5*sin(t)"],
+                         "closed": True})
+    assert main(["run", str(write_doc(tmp_path, doc))]) == 1
+    assert capsys.readouterr().err.startswith("error: /path: ")
+    doc = tiny_doc(grid={"N": 32, "L": float("inf")})
+    assert main(["run", str(write_doc(tmp_path, doc))]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: non-finite number inf at /grid/L")
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys):
     # a quartic term this strong makes one huge step diverge in the
     # series exponential, which must surface as a stage-tagged error

@@ -398,10 +398,14 @@ def test_transport_product_matches_expm(n_grid, segments):
 
 def literal_rows(dh):
     """A stand-in for ``evolution._rows`` that fills G by the one-sided
-    assembly, which is not Hermitian once the drift varies in q."""
+    assembly, gauged: the real part of S h S^dagger, the one-sided
+    -i a^k D_k + b, is not symmetric once the drift varies in q."""
     def rows(q, t, sigma, rate):
         for row in zip(t, sigma, rate):
-            yield quantize_affine_literal(dh.geometric, dh.grid, *row)
+            h = quantize_affine_literal(dh.geometric, dh.grid, *row)
+            data = h.data * operators._phases(dh.grid, h.indptr, h.indices)
+            yield scipy.sparse.csr_array((data.real, h.indices, h.indptr),
+                                         shape=h.shape)
     return rows
 
 
@@ -900,7 +904,7 @@ def test_propagate_matches_dense_on_random_drives(amp, freq, slope):
         # (its union with p^2), 6 at 320 (the 8 x 8 stencil) and 2 at
         # 832 (its union with p1^2, p2^2 and p1 p2), so the step counts
         # below cross block ends that no count divides
-        mp.setattr(evolution, "BLOCK_BYTES", 16 * 320 * 6)
+        mp.setattr(evolution, "BLOCK_BYTES", 8 * 320 * 6)
         # static high part: the full generator lives on the union pattern
         ham = P(1, {(1, 1): c(0.5), (): 0.5 * (Var("q1") - Var("s1")) ** 2})
         dh = DrivenHamiltonian(

@@ -1,7 +1,9 @@
 """Tests of the package surface: its exports and what importing it loads."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import os
 import pkgutil
 import re
@@ -18,6 +20,17 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # an UPPER_SNAKE name between single or double backticks
 DOCUMENTED_CONSTANT = re.compile(
     r"(`{1,2})([A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+)\1(?!`)")
+# a dotted name between single or double backticks
+DOCUMENTED_DOTTED = re.compile(
+    r"(`{1,2})([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)\1(?!`)")
+# a private name between double backticks
+DOCUMENTED_PRIVATE = re.compile(r"``(_[A-Za-z_]\w*)``(?!`)")
+
+
+def _has(owner, name):
+    """An attribute of owner, or a field of a dataclass owner."""
+    return hasattr(owner, name) or (dataclasses.is_dataclass(owner) and any(
+        f.name == name for f in dataclasses.fields(owner)))
 
 
 def test_every_export_resolves():
@@ -34,12 +47,20 @@ def test_every_export_resolves():
 
 
 def test_documented_constants_resolve():
-    # a constant named in the README or in a docstring of the package is
-    # an attribute of one of its modules, so deleting a constant leaves
-    # no stale mention of it
+    # a constant or private name named in the README or in a docstring
+    # of the package is an attribute of one of its modules or of their
+    # classes, and a dotted name that starts at the package, one of its
+    # modules or one of their classes resolves along its path, so
+    # deleting a name leaves no stale mention of it
     modules = [leafquant] + [
         importlib.import_module(f"leafquant.{info.name}")
         for info in pkgutil.iter_modules([str(PACKAGE_DIR)])]
+    roots = {"leafquant": leafquant}
+    for module in modules[1:]:
+        roots[module.__name__.split(".")[-1]] = module
+        roots.update((name, cls) for name, cls in inspect.getmembers(
+            module, inspect.isclass) if cls.__module__ == module.__name__)
+    owners = modules + [cls for cls in roots.values() if inspect.isclass(cls)]
     texts = [("README.md", README.read_text())]
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -51,9 +72,26 @@ def test_documented_constants_resolve():
                     texts.append((f"{path.name}: {where}", doc))
     named = {(where, match[2]) for where, text in texts
              for match in DOCUMENTED_CONSTANT.finditer(text)}
-    assert named
-    stale = sorted((where, name) for where, name in named
-                   if not any(hasattr(module, name) for module in modules))
+    private = {(where, match[1]) for where, text in texts
+               for match in DOCUMENTED_PRIVATE.finditer(text)}
+    dotted = {(where, match[2]) for where, text in texts
+              for match in DOCUMENTED_DOTTED.finditer(text)
+              if match[2].split(".")[0] in roots}
+    assert named and private and dotted
+    stale = sorted((where, name) for where, name in named | private
+                   if not any(_has(owner, name) for owner in owners))
+
+    def resolves(name):
+        owner, *path = name.split(".")
+        owner = roots[owner]
+        for part in path:
+            if not _has(owner, part):
+                return False
+            owner = getattr(owner, part, None)
+        return True
+
+    stale += sorted((where, name) for where, name in dotted
+                    if not resolves(name))
     assert not stale
 
 

@@ -202,6 +202,57 @@ def test_warp_validated_eagerly():
     assert cfg.warp is not None
 
 
+def closed_two_parameter_doc():
+    doc = base_doc()
+    doc["dims"]["m"] = 2
+    doc["connection"]["lambda"] = [["1", "1"]]
+    doc["path"]["components"] = ["1/t", "0.5*sin(t)"]
+    doc["path"]["closed"] = True
+    return doc
+
+
+@pytest.mark.parametrize("warp", [None, "1/t", "sqrt(t - 1)"])
+def test_evaluation_errors_carry_a_pointer(warp):
+    # the closed-path endpoint check and the warp checks evaluate their
+    # trees at the span's ends, where these are not finite
+    if warp is None:
+        doc, pointer = closed_two_parameter_doc(), "/path"
+    else:
+        doc, pointer = base_doc(), "/reparam/warp"
+        doc["reparam"] = {"warp": warp}
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(doc)
+    assert err.value.pointer == pointer
+    assert str(err.value).startswith(f"{pointer}: ")
+
+
+@pytest.mark.parametrize("field,text,pointer", [
+    ('"L": 6.0', '"L": Infinity', "/grid/L"),
+    ('"center": 0.1', '"center": NaN', "/initial/center"),
+    ('"steps": 16}', '"steps": 16}, "tolerances": {"unitarity": NaN}',
+     "/tolerances/unitarity"),
+    ('"steps": 16}', '"steps": 16}, "cover": [[[0.0, NaN]]]',
+     "/cover/0/0/1"),
+])
+def test_non_finite_numbers_are_rejected(field, text, pointer):
+    # Python's json reads NaN and Infinity; each is rejected where it
+    # stands, before the schema check
+    source = json.dumps(base_doc())
+    assert source.count(field) == 1
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(json.loads(source.replace(field, text)))
+    assert err.value.pointer == pointer
+    assert f"at {pointer}" in str(err.value)
+
+
+def test_non_finite_numbers_are_rejected_in_built_documents():
+    doc = base_doc()
+    doc["initial"]["center"] = [float("-inf")]
+    with pytest.raises(ScenarioError, match="non-finite number") as err:
+        parse_scenario(doc)
+    assert err.value.pointer == "/initial/center/0"
+
+
 def test_tolerance_overrides_merge_with_defaults():
     doc = base_doc()
     doc["tolerances"] = {"unitarity": 1e-8, "custom_gate": 0.5}
