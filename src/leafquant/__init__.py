@@ -35,7 +35,6 @@ from .operators import (  # noqa: F401
     WaveSection,
     quantizer,
     hermiticity_defect,
-    expectation_value,
     dirac_symbol_defect,
     dirac_grid_defect,
 )
@@ -47,7 +46,6 @@ from .evolution import (  # noqa: F401
     geometric_factor,
     split_evolution,
     classical_hamilton_flow,
-    heisenberg_derivative,
 )
 from .scenarios import (  # noqa: F401
     ScenarioConfig,

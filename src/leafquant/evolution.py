@@ -10,8 +10,6 @@ the frozen-parameter Hamiltonian H' (H plus the frame drift) and their
 sum H*.  Each is quantized by one ``operators.Quantizer``, built once on
 first use, and everything else binds numbers into these:
 
-- The pointwise generators G(t), H'(t) and G + H' (one fill of H*)
-  bind (t, sigma(t), sigma'(t)).
 - Every step, transport segment and commutator sample of a window
   binds through ``_steps``: the step midpoint t, the mean s of sigma
   at the step's ends and v = delta sigma / dt.  G is linear in v, so
@@ -59,8 +57,7 @@ non-commuting transport, U_geo and the phase column alike, takes one
 real Chebyshev series per segment (Tal-Ezer and Kosloff,
 ``_chebyshev_walk``) of the row scaled by its Gershgorin bound, whose
 Bessel tail (``TRANSPORT_TAIL_TOL``) fixes the term count in advance.
-The pointwise generators are returned as ``csr_array``s, and U, U_geo,
-U_dyn and the geometric factor as ndarrays.
+U, U_geo, U_dyn and the geometric factor are returned as ndarrays.
 """
 
 from __future__ import annotations
@@ -103,14 +100,10 @@ __all__ = [
     "ClassicalState",
     "ClassicalTrajectory",
     "SplitReport",
-    "geometric_generator",
-    "dynamic_operator",
-    "full_generator",
     "evolve_time_ordered",
     "geometric_factor",
     "split_evolution",
     "propagate_state",
-    "heisenberg_derivative",
     "classical_hamilton_flow",
 ]
 
@@ -128,11 +121,13 @@ TAYLOR_MAX_TERMS = 64
 # of a transport walk drops: a product multiplies up to thousands of
 # factors, so each stops at rounding to stay unitary to about 1e-13
 TRANSPORT_TAIL_TOL = 1e-16
-# the split: commutator samples, the relative commutator norm of a
-# commuting family, and the factorization defect it must close to
+# the split's reported commutator samples, and the factorization
+# defect a commuting family must close to
 SPLIT_SAMPLES = 32
-COMMUTING_THRESHOLD = 1e-10
 SPLIT_TOL = 1e-8
+# off-diagonal residual of a commuting family's couplings in their joint
+# basis, relative to each coupling (``_commuting_basis``)
+COMMUTING_THRESHOLD = 1e-10
 # bytes of gauged generator data (8-byte float entries) filled at once:
 # a long window is sampled in blocks of rows, so it adds little to peak
 # memory
@@ -223,23 +218,6 @@ class DrivenHamiltonian:
                      for f in (*field.dq, *field.dp))
 
 
-def geometric_generator(dh: DrivenHamiltonian, t: float) -> sp.csr_array:
-    """Hermitian generator G of the connection drift at clock time t."""
-    return dh.geometric_quantizer.operator(t, dh.path.value(t),
-                                           dh.path.velocity(t))
-
-
-def dynamic_operator(dh: DrivenHamiltonian, t: float) -> sp.csr_array:
-    """The frozen-parameter Hamiltonian H'(t), Hermitian."""
-    return dh.dynamic_quantizer.operator(t, dh.path.value(t))
-
-
-def full_generator(dh: DrivenHamiltonian, t: float) -> sp.csr_array:
-    """G(t) + H'(t): one fill of the quantized H* at (t, sigma, sigma')."""
-    return dh.full_quantizer.operator(t, dh.path.value(t),
-                                      dh.path.velocity(t))
-
-
 # -- results -------------------------------------------------------------
 
 
@@ -298,14 +276,6 @@ class ClassicalTrajectory:
     times: np.ndarray
     positions: np.ndarray
     momenta: np.ndarray
-
-    def state(self, i: int) -> ClassicalState:
-        return ClassicalState(self.positions[i], self.momenta[i],
-                              float(self.times[i]))
-
-    @property
-    def final(self) -> ClassicalState:
-        return self.state(len(self.times) - 1)
 
 
 # -- dense time-ordered evolution ---------------------------------------
@@ -578,8 +548,6 @@ def _chebyshev_walk(dh: DrivenHamiltonian, times: np.ndarray,
             # native products below rely on; the buffers are taken after
             # the first block of rows is filled, so they do not add to
             # the peak of the fill
-            if h.shape != (n, n):
-                raise ValueError("transport generator does not match the grid")
             slots = _transpose_slots(h)
             cur, even, odd, term = (np.empty_like(flat) for _ in range(4))
         _gated(_pattern_defect(h.data, slots))
@@ -674,14 +642,32 @@ def _commutator_max(dh: DrivenHamiltonian, times: np.ndarray) -> float:
     return comm_max
 
 
+def _split_commutes(dh: DrivenHamiltonian) -> bool:
+    """True when G and H' commute at every pair of times, so that U =
+    U_geo U_dyn to rounding.
+
+    Read from the definitions, not from samples: G is zero (no coupling
+    term, or a constant path) or H' is zero, or no coupling and no
+    coefficient of H' (frame drift included) depends on q and there is
+    no bump cover, so that both are polynomials with scalar coefficients
+    in the commuting periodic differences D_k.
+    """
+    if not dh.geometric.terms or dh.path.is_constant() or not dh.dynamic.terms:
+        return True
+    qvars = {f"q{k}" for k in range(1, dh.grid.dim + 1)}
+    return dh.cover is None and not (
+        (dh._coupling_free | dh.dynamic.free_variables()) & qvars)
+
+
 def split_evolution(dh: DrivenHamiltonian, full: EvolutionResult):
     """Factor the dense pass ``full`` (of ``dh``) as U_geo U_dyn.
 
     ``full`` carries U and U_geo; only U_dyn, the step product of H'
     over the same times, is formed here.  Returns (U_geo, U_dyn,
     SplitReport): the largest relative commutator norm of G and H' at
-    SPLIT_SAMPLES even steps (``_steps``), and the factorization
-    defect, held to SPLIT_TOL when the family commutes.
+    SPLIT_SAMPLES even steps (``_steps``), the factorization defect, and
+    whether the family commutes (``_split_commutes``), in which case
+    the defect is held to SPLIT_TOL.
     """
     if full.unitary.shape != (dh.grid.size,) * 2:
         raise ValueError("dense result lives on a different grid")
@@ -692,7 +678,7 @@ def split_evolution(dh: DrivenHamiltonian, full: EvolutionResult):
     u_dyn = _step_product(dh.dynamic_quantizer, dh, times,
                           full.static_collapse)[0]
     defect = float(np.linalg.norm(full.unitary - full.geometric @ u_dyn))
-    commuting = bool(comm_max <= COMMUTING_THRESHOLD)
+    commuting = _split_commutes(dh)
     if commuting and defect > SPLIT_TOL:
         raise RuntimeError(
             f"commuting generators but factorization defect {defect:.3e} "
@@ -836,14 +822,7 @@ def propagate_state(dh: DrivenHamiltonian, initial: WaveSection, steps: int,
     )
 
 
-# -- Heisenberg picture and the classical oracle -------------------------
-
-
-def heisenberg_derivative(fhat: sp.csr_array, dh: DrivenHamiltonian,
-                          t: float) -> sp.csr_array:
-    """i[H(t), f]; explicit time dependence of f is the caller's term."""
-    h = full_generator(dh, t)
-    return 1j * (h @ fhat - fhat @ h)
+# -- the classical oracle ------------------------------------------------
 
 
 def classical_hamilton_flow(dh: DrivenHamiltonian, initial: ClassicalState,

@@ -13,7 +13,7 @@ quantization rule accepts).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -99,9 +99,6 @@ class PolynomialObservable:
         return cls(dim, terms)
 
     # -- structure -------------------------------------------------------
-
-    def coefficient(self, idx: Iterable[int]) -> Expression:
-        return self.terms.get(tuple(sorted(idx)), _ZERO)
 
     @property
     def degree(self) -> int:
@@ -248,14 +245,6 @@ class HamiltonianVectorField:
     source: PolynomialObservable
     dq: tuple[PolynomialObservable, ...]
     dp: tuple[PolynomialObservable, ...]
-
-    def apply(self, g: PolynomialObservable) -> PolynomialObservable:
-        """Directional derivative of ``g``; equals the bracket with source."""
-        out = PolynomialObservable.zero(g.dim)
-        for k in range(g.dim):
-            out = out + self.dq[k] * g.partial_q(k + 1)
-            out = out + self.dp[k] * g.partial_p(k + 1)
-        return out
 
 
 def poisson_bracket(f: PolynomialObservable,

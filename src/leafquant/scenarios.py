@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Any
@@ -35,6 +35,7 @@ __all__ = [
     "parse_scenario",
     "preset_names",
     "preset_text",
+    "load_preset",
 ]
 
 
@@ -215,15 +216,11 @@ class ScenarioConfig:
     warp: Expression | None
     tolerances: dict[str, float]
     outputs: tuple[str, ...]
-    raw: dict = field(repr=False, default_factory=dict)
 
     def driven(self) -> DrivenHamiltonian:
         return DrivenHamiltonian(self.bundle, self.path, self.hamiltonian,
                                  self.grid, cover=self.cover,
                                  ordering=self.ordering)
-
-    def tolerance(self, key: str) -> float:
-        return self.tolerances[key]
 
 
 def _pointer(parts) -> str:
@@ -422,7 +419,6 @@ def parse_scenario(doc: dict, name: str = "scenario") -> ScenarioConfig:
         record_every=record_every,
         initial_center=center, initial_width=width, initial_kick=kick,
         cover=cover, warp=warp, tolerances=tolerances, outputs=outputs,
-        raw=doc,
     )
 
 
@@ -456,6 +452,3 @@ def preset_text(name: str) -> str:
 
 def load_preset(name: str) -> ScenarioConfig:
     return parse_scenario(json.loads(preset_text(name)), name=name)
-
-
-__all__.append("load_preset")

@@ -17,7 +17,6 @@ from leafquant.observables import (PolynomialObservable,
 from leafquant.operators import (
     FiberGrid,
     WaveSection,
-    derivative_matrix,
     inner_product,
     quantize_affine_literal,
     quantizer,
@@ -26,12 +25,8 @@ from leafquant.evolution import (
     ClassicalState,
     DrivenHamiltonian,
     classical_hamilton_flow,
-    dynamic_operator,
     evolve_time_ordered,
-    full_generator,
     geometric_factor,
-    geometric_generator,
-    heisenberg_derivative,
     propagate_state,
     split_evolution,
 )
@@ -101,12 +96,20 @@ def two_axis_dh():
 # -- generators ----------------------------------------------------------
 
 
+def generator(q, dh, t):
+    """The fill of quantizer q at (t, sigma(t), sigma'(t))."""
+    return q.operator(t, dh.path.value(t), dh.path.velocity(t))
+
+
 def test_geometric_generator_direct_assembly():
     dh = nonabelian_dh(n_grid=64)
     t = np.pi / 4
-    g = geometric_generator(dh, t).toarray()
+    g = generator(dh.geometric_quantizer, dh, t).toarray()
     grid = dh.grid
-    d = derivative_matrix(grid, 0).toarray()
+    # the periodic central difference, entry by entry
+    eye = np.eye(grid.size)
+    d = (np.roll(eye, 1, axis=1) - np.roll(eye, -1, axis=1)) / (
+        2.0 * grid.spacings[0])
     a = -np.sin(t) + np.cos(t) * grid.axis(0)
     manual = (-0.5j) * (d * (a[:, None] + a[None, :]))
     assert np.linalg.norm(g - manual) < 1e-12
@@ -114,7 +117,8 @@ def test_geometric_generator_direct_assembly():
 
 def test_geometric_generator_constant_path_is_zero():
     dh = static_dh(n_grid=64)
-    assert np.linalg.norm(geometric_generator(dh, 1.0).toarray()) == 0.0
+    g = generator(dh.geometric_quantizer, dh, 1.0)
+    assert np.linalg.norm(g.toarray()) == 0.0
 
 
 def test_geometric_generator_unit_coupling_is_momentum():
@@ -122,7 +126,7 @@ def test_geometric_generator_unit_coupling_is_momentum():
     path = ParameterPath.from_expressions([Var("t")], span=(0.0, 1.0))
     dh = DrivenHamiltonian(bundle, path, P(1, {}),
                            FiberGrid((64,), (5.0,)))
-    g = geometric_generator(dh, 0.5).toarray()
+    g = generator(dh.geometric_quantizer, dh, 0.5).toarray()
     p_mat = quantizer(P.momentum(1, dim=1), dh.grid).operator().toarray()
     assert np.linalg.norm(g - p_mat) < 1e-13
 
@@ -130,15 +134,15 @@ def test_geometric_generator_unit_coupling_is_momentum():
 def test_dynamic_operator_recentered_floor():
     dh = oscillator_dh(n_grid=256)
     for t in (0.0, 2.0, 7.0):
-        op = dynamic_operator(dh, t)
+        op = generator(dh.dynamic_quantizer, dh, t)
         w = np.linalg.eigvalsh(op.toarray())
         assert abs(w[0] - 0.5) < 1e-3
 
 
 def test_dynamic_operator_static_kinetic_cache():
     dh = oscillator_dh(n_grid=64)
-    m0 = dynamic_operator(dh, 0.3).toarray()
-    m1 = dynamic_operator(dh, 1.7).toarray()
+    m0 = generator(dh.dynamic_quantizer, dh, 0.3).toarray()
+    m1 = generator(dh.dynamic_quantizer, dh, 1.7).toarray()
     # the kinetic part is filled the same at every time, and only the
     # potential moves with the path
     gap = m0 - m1
@@ -149,9 +153,9 @@ def test_dynamic_operator_static_kinetic_cache():
 def test_full_generator_is_sum():
     dh = oscillator_dh(n_grid=64)
     t = 0.9
-    total = full_generator(dh, t).toarray()
-    parts = (geometric_generator(dh, t).toarray()
-             + dynamic_operator(dh, t).toarray())
+    total = generator(dh.full_quantizer, dh, t).toarray()
+    parts = (generator(dh.geometric_quantizer, dh, t).toarray()
+             + generator(dh.dynamic_quantizer, dh, t).toarray())
     assert np.array_equal(total, parts)
 
 
@@ -271,12 +275,11 @@ def test_public_producers_return_bare_arrays():
     dh = oscillator_dh(n_grid=32, t1=1.0)
     g = dh.grid
     q = P.affine([Var("q1")], c(0.0), 1)
-    for op in (derivative_matrix(g),
-               quantizer(P(1, {(1, 1): Var("q1")}), g).operator(0.2),
+    for op in (quantizer(P(1, {(1, 1): Var("q1")}), g).operator(0.2),
                quantize_affine_literal(q, g),
-               geometric_generator(dh, 0.3), dynamic_operator(dh, 0.3),
-               full_generator(dh, 0.3),
-               heisenberg_derivative(quantizer(q, g).operator(), dh, 0.3)):
+               *(generator(q, dh, 0.3) for q in (dh.geometric_quantizer,
+                                                 dh.dynamic_quantizer,
+                                                 dh.full_quantizer))):
         assert type(op) is scipy.sparse.csr_array
         assert op.shape == (g.size, g.size)
     full = evolve_time_ordered(dh, steps=2)
@@ -834,6 +837,36 @@ def test_split_noncommuting_reports_without_asserting():
     assert np.isfinite(report.factorization_defect)
 
 
+@pytest.mark.parametrize("path, potential", [
+    ({"kind": "samples", "times": np.linspace(0.0, 4.0, 65).tolist(),
+      "values": [[0.3 * (j % 2)] for j in range(65)]}, "0.5*q1^2"),
+    ({"kind": "closed_form", "components": ["0.3*t"], "span": [0.0, 4.0]},
+     "0.5*cos(8*3.141592653589793*t)^2*q1^2"),
+], ids=["transport_zero_at_every_sample", "commutator_zero_at_every_sample"])
+def test_split_verdict_read_from_the_definitions(tmp_path, path, potential):
+    # two non-commuting families whose commutator samples all read zero:
+    # the knots at the sample times are all 0, so every sampled increment
+    # is; or the potential vanishes at every sample midpoint.  The
+    # verdict comes from the definitions, so each run reports its defect
+    # instead of raising
+    config = parse_scenario({
+        "dims": {"m": 1, "n": 1},
+        "connection": {"lambda": [["1"]]},
+        "path": path,
+        "hamiltonian": [{"index": [1, 1], "coeff": "0.5"},
+                        {"index": [], "coeff": potential}],
+        "grid": {"N": 16, "L": 5.0},
+        "integrator": {"steps": 64, "unitary_steps": 64},
+        "initial": {"center": 0.5, "width": 1.0, "kick": 0.2},
+        "outputs": ["diagnostics"],
+    })
+    assert not evolution._split_commutes(config.driven())
+    split = runner.run(config, tmp_path).split
+    assert split["commuting"] is False
+    assert split["commutator_max"] == 0.0
+    assert split["factorization_defect"] > evolution.SPLIT_TOL
+
+
 # -- state propagation ---------------------------------------------------
 
 
@@ -967,7 +1000,8 @@ def test_heisenberg_canonical_relation():
     dh = static_dh(n_grid=512, half_width=8.0)
     q_op = quantizer(P.affine([c(0.0)], Var("q1"), 1), dh.grid).operator()
     p_op = quantizer(P.momentum(1, dim=1), dh.grid).operator()
-    deriv = heisenberg_derivative(q_op, dh, 0.0)
+    h = generator(dh.full_quantizer, dh, 0.0)
+    deriv = 1j * (h @ q_op - q_op @ h)
     ws = WaveSection.gaussian(dh.grid, center=0.4, width=1.0, momentum=0.3)
     resid = deriv @ ws.values - p_op @ ws.values
     assert np.linalg.norm(resid) / np.linalg.norm(ws.values) < 1e-3

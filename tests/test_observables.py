@@ -106,7 +106,12 @@ def test_vector_field_reproduces_bracket():
     rng = np.random.default_rng(3)
     f = random_observable(rng)
     g = random_observable(rng)
-    applied = hamiltonian_vector_field(f).apply(g)
+    # the directional derivative of g along the field of f
+    field = hamiltonian_vector_field(f)
+    applied = P.zero(g.dim)
+    for k in range(g.dim):
+        applied = (applied + field.dq[k] * g.partial_q(k + 1)
+                   + field.dp[k] * g.partial_p(k + 1))
     pb = poisson_bracket(f, g)
     qs, ps = random_phase_points(rng, 2)
     got = np.array([applied.evaluate(0.2, (), q, p) for q, p in zip(qs, ps)])

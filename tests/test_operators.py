@@ -20,10 +20,8 @@ from leafquant.operators import (
     FiberGrid,
     WaveSection,
     affine_symbol,
-    derivative_matrix,
     dirac_grid_defect,
     dirac_symbol_defect,
-    expectation_value,
     hermiticity_defect,
     inner_product,
     momentum_expectations,
@@ -94,10 +92,22 @@ def test_grid_validation():
             FiberGrid(shape, 2.0)
 
 
+def derivative(g, axis=0):
+    """The periodic central difference D = i p along an axis, from the
+    quantized momentum."""
+    return 1j * quantizer(P.momentum(axis + 1, g.dim), g).operator()
+
+
+def mean(op, ws):
+    """Re <psi, op psi> / <psi, psi>."""
+    return (np.vdot(ws.values, op @ ws.values).real
+            / np.vdot(ws.values, ws.values).real)
+
+
 def test_derivative_exact_antisymmetry():
     for g in (FiberGrid((32,), (3.0,)), FiberGrid((8, 16), (2.0, 5.0))):
         for a in range(g.dim):
-            d = derivative_matrix(g, a).toarray()
+            d = derivative(g, a).toarray()
             assert np.array_equal(d, -d.conj().T)
 
 
@@ -108,7 +118,7 @@ def test_derivative_plane_wave_eigenvalue():
     h = g.spacings[0]
     k = 3 * np.pi / 5.0
     wave = np.exp(1j * k * g.axis(0))
-    out = derivative_matrix(g, 0) @ wave
+    out = derivative(g, 0) @ wave
     assert np.allclose(out, 1j * np.sin(k * h) / h * wave, atol=1e-12)
 
 
@@ -119,15 +129,15 @@ def test_derivative_accuracy_second_order():
         x = g.axis(0)
         psi = np.exp(-x * x)
         exact = -2 * x * psi
-        approx = derivative_matrix(g, 0) @ psi
+        approx = derivative(g, 0) @ psi
         errs.append(np.max(np.abs(approx - exact)))
     assert errs[0] / errs[1] > 3.5
 
 
 def test_derivative_2d_axes_commute():
     g = FiberGrid((12, 10), (3.0, 4.0))
-    d0 = derivative_matrix(g, 0).toarray()
-    d1 = derivative_matrix(g, 1).toarray()
+    d0 = derivative(g, 0).toarray()
+    d1 = derivative(g, 1).toarray()
     assert np.allclose(d0 @ d1 - d1 @ d0, 0.0, atol=1e-14)
 
 
@@ -141,6 +151,27 @@ def test_gaussian_normalized_and_localized():
     assert position_expectations(ws)[0] == pytest.approx(1.2, abs=1e-9)
     # the discrete momentum mean carries the sin(kh)/h dispersion bias
     assert momentum_expectations(ws)[0] == pytest.approx(0.5, abs=1e-3)
+
+
+@given(shape=st.one_of(
+           st.tuples(st.integers(4, 48)),
+           st.tuples(st.integers(4, 12), st.integers(4, 12))),
+       half_width=st.floats(1.0, 8.0), data=st.data(),
+       amplitude=st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0))
+def test_momentum_expectations_match_quantized_momentum(shape, half_width,
+                                                        data, amplitude):
+    # the closed-form record equals the mean of the quantized momentum
+    # -i D_a on random even grids and packets, normalized or not
+    g = FiberGrid(tuple(2 * n for n in shape), half_width)
+    draw = lambda lo, hi: [data.draw(st.floats(lo, hi)) for _ in shape]
+    ws = WaveSection.gaussian(
+        g, center=draw(-0.5 * half_width, 0.5 * half_width),
+        width=draw(0.2 * half_width, half_width), momentum=draw(-3.0, 3.0))
+    ws = WaveSection(g, amplitude * ws.values)
+    got = momentum_expectations(ws)
+    for a in range(g.dim):
+        want = mean(quantizer(P.momentum(a + 1, g.dim), g).operator(), ws)
+        assert abs(got[a] - want) <= 1e-13
 
 
 def test_wave_section_validation():
@@ -263,7 +294,7 @@ def test_scaled_position_momentum_expectation():
     g = FiberGrid((512,), (10.0,))
     op = quantizer(affine([Var("q1")], Const(0.0)), g).operator()
     ws = WaveSection.gaussian(g, center=1.4, width=0.9, momentum=0.7)
-    assert expectation_value(op, ws) == pytest.approx(1.4 * 0.7, abs=1e-3)
+    assert mean(op, ws) == pytest.approx(1.4 * 0.7, abs=1e-3)
 
 
 def test_binding_incomplete_error():
@@ -312,12 +343,12 @@ def test_generators_are_banded_csr():
     kinetic = P(1, {(1, 1): Const(1.0)})
     for op, band in ((quantizer(drift, g).operator(), 3),
                      (quantizer(kinetic, g).operator(), 5),
-                     (derivative_matrix(g, 0), 3)):
+                     (quantizer(P.momentum(1, 1), g).operator(), 3)):
         assert isinstance(op, scipy.sparse.csr_array)
         assert op.nnz <= band * g.size
     # affine generators on one grid share one cached pattern
     first = quantizer(drift, g).operator()
-    second = derivative_matrix(g, 0)
+    second = quantizer(P.momentum(1, 1), g).operator()
     assert np.shares_memory(first.indices, second.indices)
     assert np.shares_memory(first.indptr, second.indptr)
     g2 = FiberGrid((10, 12), (3.0, 3.0))
@@ -347,7 +378,7 @@ def test_affine_dense_equals_dense_formula_bitwise():
             m = m + (-0.5j) * (d * (ak[:, None] + ak[None, :]))
         assert np.array_equal(quantizer(f, g).operator().toarray(), m)
         for k in range(g.dim):
-            assert np.array_equal(derivative_matrix(g, k).toarray(),
+            assert np.array_equal(derivative(g, k).toarray(),
                                   _dense_difference(g, k))
 
 
@@ -576,7 +607,7 @@ def test_momentum_square_matches_second_difference():
     g = FiberGrid((64,), (5.0,))
     f = P(1, {(1, 1): Const(1.0)})
     op = quantizer(f, g).operator()
-    d = derivative_matrix(g, 0).toarray()
+    d = _dense_difference(g, 0)
     assert np.allclose(op.toarray(), -(d @ d), atol=1e-13)
     assert hermiticity_defect(op) < 1e-14
 
@@ -592,7 +623,7 @@ def test_oscillator_ground_energy():
     assert abs(w[0] - 0.5) < 1e-3
     assert abs(w[1] - w[0]) < 1e-6          # doubler twin, not the 1.5 level
     ws = WaveSection.gaussian(g, center=0.0, width=1.0)
-    energy = expectation_value(op, ws)
+    energy = mean(op, ws)
     assert abs(energy - 0.5) < 1e-3
     residual = op @ ws.values - energy * ws.values
     assert np.linalg.norm(residual) / np.linalg.norm(ws.values) < 1e-3
@@ -618,8 +649,8 @@ def test_symmetric_ordering_is_hermitian_to_the_bit():
     sym = quantizer(f, g).operator().toarray()
     assert np.array_equal(sym, sym.conj().T)
     mats = [quantizer(P(1, {(1,): Var("q1") ** 2}), g).operator().toarray(),
-            derivative_matrix(g).toarray() * -1j,
-            derivative_matrix(g).toarray() * -1j]
+            quantizer(P.momentum(1, 1), g).operator().toarray(),
+            quantizer(P.momentum(1, 1), g).operator().toarray()]
     average = sum(mats[a] @ mats[b] @ mats[c]
                   for a, b, c in itertools.permutations(range(3))) / 6
     assert np.linalg.norm(sym - average) <= 1e-12 * np.linalg.norm(average)

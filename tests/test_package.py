@@ -95,6 +95,39 @@ def test_documented_constants_resolve():
     assert not stale
 
 
+def _reads(tree: ast.Module, skip: str) -> set[str]:
+    """Every name and attribute that the module reads, outside its
+    top-level definition named ``skip``; an import or an ``__all__``
+    entry is no read."""
+    out = set()
+    for top in tree.body:
+        if getattr(top, "name", None) == skip:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+    return out
+
+
+def test_every_export_has_a_caller():
+    # a name that a module exports is used by the package outside its own
+    # definition, or README names it: a name that only tests reach goes
+    trees = [ast.parse(path.read_text())
+             for path in sorted(PACKAGE_DIR.glob("*.py"))]
+    readme = README.read_text()
+    uncalled = []
+    for info in pkgutil.iter_modules([str(PACKAGE_DIR)]):
+        module = importlib.import_module(f"leafquant.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            if (not re.search(rf"\b{name}\b", readme)
+                    and not any(name in _reads(tree, name)
+                                for tree in trees)):
+                uncalled.append(f"leafquant.{info.name}.{name}")
+    assert not uncalled
+
+
 @pytest.mark.parametrize("module", ["scipy.interpolate",
                                     "scipy.sparse.linalg", "scipy.linalg",
                                     "scipy.special"])

@@ -257,9 +257,9 @@ def test_tolerance_overrides_merge_with_defaults():
     doc = base_doc()
     doc["tolerances"] = {"unitarity": 1e-8, "custom_gate": 0.5}
     cfg = parse_scenario(doc)
-    assert cfg.tolerance("unitarity") == 1e-8
-    assert cfg.tolerance("custom_gate") == 0.5
-    assert cfg.tolerance("ehrenfest") == DEFAULT_TOLERANCES["ehrenfest"]
+    assert cfg.tolerances["unitarity"] == 1e-8
+    assert cfg.tolerances["custom_gate"] == 0.5
+    assert cfg.tolerances["ehrenfest"] == DEFAULT_TOLERANCES["ehrenfest"]
 
 
 def test_ordering_enum_enforced():
@@ -308,7 +308,7 @@ def test_driven_oscillator_preset_shape():
     assert cfg.steps == 10000
     assert cfg.path.span == (0.0, 10.0)
     assert "ehrenfest" in cfg.outputs
-    assert cfg.tolerance("ehrenfest") == 1e-3
+    assert cfg.tolerances["ehrenfest"] == 1e-3
 
 
 def test_preset_text_round_trips():
@@ -318,9 +318,3 @@ def test_preset_text_round_trips():
     assert cfg.path.closed
     with pytest.raises(ScenarioError, match="unknown preset"):
         preset_text("missing_preset")
-
-
-def test_raw_document_is_kept():
-    doc = base_doc()
-    cfg = parse_scenario(doc)
-    assert cfg.raw is doc
