@@ -35,9 +35,11 @@ of ``operators._gauge`` makes each quantized generator h the real
 symmetric S h S^dagger, and every row filled here is that float64 data
 (``Quantizer.block``).  U, U_geo, U_dyn and every carried state stay
 gauged and are taken back, exactly, where they are read.  Every
-generator passes the one gate: its relative hermiticity defect
-(``hermiticity_defect``, which the gauge keeps) at most
-``HERMITICITY_STEP_TOL``.  The dense pass forms U and U_geo once per
+generator of the dense pass and of the transport walk passes the one
+gate: its relative hermiticity defect (``hermiticity_defect``, which
+the gauge keeps) at most ``HERMITICITY_STEP_TOL``.  The Taylor state
+steps of H* are not gated; every quantizer fill is symmetric to the
+bit.  The dense pass forms U and U_geo once per
 window, and the split reads both and forms only U_dyn.  U and U_dyn are
 products of exact step exponentials, so unitarity holds to rounding at
 every step count; each step comes from the one eigendecomposition
@@ -79,7 +81,6 @@ from .observables import (
     hamiltonian_vector_field,
 )
 from .operators import (
-    ORDERINGS,
     FiberGrid,
     WaveSection,
     inner_product,
@@ -154,11 +155,8 @@ class DrivenHamiltonian:
     hamiltonian: PolynomialObservable
     grid: FiberGrid
     cover: BumpCover | None = None
-    ordering: str = "symmetric"
 
     def __post_init__(self):
-        if self.ordering not in ORDERINGS:
-            raise ValueError(f"ordering must be one of {ORDERINGS}")
         if self.bundle.n_fiber != self.grid.dim:
             raise ValueError("bundle fiber dimension does not match the grid")
         if self.hamiltonian.dim != self.grid.dim:
@@ -198,11 +196,11 @@ class DrivenHamiltonian:
 
     @cached_property
     def dynamic_quantizer(self) -> Quantizer:
-        return quantizer(self.dynamic, self.grid, self.cover, self.ordering)
+        return quantizer(self.dynamic, self.grid, self.cover)
 
     @cached_property
     def full_quantizer(self) -> Quantizer:
-        return quantizer(self.star, self.grid, self.cover, self.ordering)
+        return quantizer(self.star, self.grid, self.cover)
 
     @cached_property
     def commuting_basis(self) -> tuple[np.ndarray, np.ndarray]:
@@ -238,6 +236,15 @@ class EvolutionResult:
 
 @dataclass
 class SplitReport:
+    """The split of a dense pass (``split_evolution``).
+
+    ``commuting`` is the verdict, read from the definitions.
+    ``commutator_max`` is a sampled figure, the largest relative norm of
+    [G, H'] at SPLIT_SAMPLES steps: 0.0 does not mean that G and H'
+    commute, since G or [G, H'] can vanish at every sample of a family
+    that does not.
+    """
+
     commutator_max: float
     factorization_defect: float
     commuting: bool

@@ -15,8 +15,8 @@ product is a fixed linear map of its samples.  ``quantizer`` builds one
 CSR pattern per observable (the banded stencil for an affine one) and
 that map, with the diagonal gauge S of ``_gauge`` folded in once: a
 fill (``Quantizer.block``) is the real data of S h S^dagger, and
-``quantizer(f, grid, cover, ordering).operator(t, sigma, rate)`` is the
-complex operator h at one point.  Quantized operators are
+``quantizer(f, grid, cover).operator(t, sigma, rate)`` is the complex
+operator h at one point.  Quantized operators are
 ``scipy.sparse`` ``csr_array``s; exponentials and their products
 (``evolution``) are dense ndarrays.  A small operator-symbol layer
 mirrors first-order operators symbolically so the commutator algebra
@@ -61,8 +61,6 @@ __all__ = [
     "dirac_symbol_defect",
     "dirac_grid_defect",
 ]
-
-ORDERINGS = ("symmetric", "left", "right")
 
 _ZERO = Const(0.0)
 
@@ -187,7 +185,7 @@ def _gauge(grid: FiberGrid) -> np.ndarray:
     coefficients is (-i)^d times a real matrix whose entries sit at
     index offsets of the parity of d; with an even number of points per
     axis the periodic wrap keeps that parity, and S h S^dagger is real,
-    exactly in floating point (symmetric for the symmetric ordering).
+    exactly in floating point, and symmetric.
     """
     s = np.array([1, 1j, -1, -1j])[np.indices(grid.shape).sum(axis=0).ravel()
                                    % 4]
@@ -360,13 +358,6 @@ class Quantizer:
             self.grid, self.indptr, self.indices).conj())
 
 
-def _orders(d: int, ordering: str) -> list[tuple[int, ...]]:
-    """Factor orders of d factors; the symmetric fold adds the reversals."""
-    if ordering != "symmetric":
-        return [tuple(range(d))[::1 if ordering == "left" else -1]]
-    return [o for o in permutations(range(d)) if o[0] < o[-1]]
-
-
 def _ranges(starts: np.ndarray, counts: np.ndarray):
     """Owner and position of each element of [starts[r], + counts[r])."""
     owner = np.repeat(np.arange(len(counts)), counts)
@@ -385,22 +376,20 @@ def _joint(left, right, x: np.ndarray, b: np.ndarray):
 
 
 def quantizer(f: PolynomialObservable, grid: FiberGrid,
-              cover: BumpCover | None = None,
-              ordering: str = "symmetric") -> Quantizer:
+              cover: BumpCover | None = None) -> Quantizer:
     """Build the ``Quantizer`` of a momentum polynomial once.
 
     A product of the affine factorization (``decompose_polynomial``) is
     L F R, F = -(i/2)(C D_k + D_k C) its first factor with C = diag(c)
-    and L, R fixed products of its q-only factors, summed over the
-    factor orders of ``ordering``: ``symmetric`` averages all of them,
-    folding the adjoint into the weights (Hermitian to the bit), and
-    ``left``/``right`` keep one-sided products, retained to expose the
-    ordering ambiguity.  An affine observable keeps the stencil pattern.
+    and L, R fixed products of its q-only factors, averaged over every
+    factor order.  Only the orders whose first factor index is below
+    their last are built: the reverse of each is its adjoint, which
+    folding the weights onto their mirror entries adds, so every fill is
+    Hermitian to the bit.  An affine observable keeps the stencil
+    pattern.
     The gauge is folded in once: each weight is multiplied by the phase
     of its entry and must come out real (``_real``).
     """
-    if ordering not in ORDERINGS:
-        raise ValueError(f"ordering must be one of {ORDERINGS}")
     if f.dim != grid.dim:
         raise ValueError("observable and grid dimensions differ")
     a, b = f.up_to_degree(1).linear_coefficients()
@@ -417,7 +406,8 @@ def quantizer(f: PolynomialObservable, grid: FiberGrid,
             continue
         ((axis,), c), = group[0].terms.items()
         mats = [None] + [quantizer(h, grid).operator() for h in group[1:]]
-        orders = _orders(len(group), ordering)
+        orders = [o for o in permutations(range(len(group)))
+                  if o[0] < o[-1]]
         # entry e = (x, b) of F enters (L F R)_ij as i L_ix R_bj
         e, x, y, v = (np.concatenate(z) for z in zip(*(_joint(
             reduce(matmul, [mats[i] for i in o[:o.index(0)]], eye),
@@ -437,10 +427,8 @@ def quantizer(f: PolynomialObservable, grid: FiberGrid,
         col = np.searchsorted(pattern, key)
         weights = sp.csr_array((_real(v * phases[col]), (e, col)),
                                shape=(2 * n, len(pattern)))
-        if ordering == "symmetric":
-            # every fill is then symmetric to the bit
-            weights = (weights + weights[:, mirror]) / 2
-        high.append((ax, c, weights))
+        # the adjoint fold: every fill is symmetric to the bit
+        high.append((ax, c, (weights + weights[:, mirror]) / 2))
     place = np.searchsorted(pattern, stencil)
     return Quantizer(grid, indptr, indices, tuple(a), b, place[st.diagonal],
                      tuple(place[s] for s in st.slots), tuple(high))

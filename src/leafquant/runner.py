@@ -205,7 +205,7 @@ def _reparam_diag(config, dh, made):
     warped_path = reparametrize_path(config.path, config.warp)
     dh_w = DrivenHamiltonian(config.bundle, warped_path,
                              config.hamiltonian, config.grid,
-                             cover=config.cover, ordering=config.ordering)
+                             cover=config.cover)
     warped = geometric_factor(dh_w, segments=config.segments)
     return {"segments": int(config.segments),
             "difference": float(np.linalg.norm(base - warped))}

@@ -23,7 +23,7 @@ import numpy as np
 from .bundle import BundleModel, ParameterPath, reparametrize_path
 from .expressions import EvaluationError, Expression, ParseError, parse_expr
 from .observables import BumpCover, PolynomialObservable
-from .operators import ORDERINGS, FiberGrid
+from .operators import FiberGrid
 from .evolution import DrivenHamiltonian
 
 __all__ = [
@@ -144,7 +144,7 @@ SCENARIO_SCHEMA: dict = {
             "additionalProperties": False,
             "properties": {
                 "steps": {"type": "integer", "minimum": 1},
-                "ordering": {"enum": list(ORDERINGS)},
+                "ordering": {"enum": ["symmetric"]},
                 "unitary_steps": {"type": "integer", "minimum": 1},
                 "segments": {"type": "integer", "minimum": 1},
                 "segment_counts": {"type": "array",
@@ -203,7 +203,6 @@ class ScenarioConfig:
     path: ParameterPath
     hamiltonian: PolynomialObservable
     grid: FiberGrid
-    ordering: str
     steps: int
     unitary_steps: int
     segments: int
@@ -219,8 +218,7 @@ class ScenarioConfig:
 
     def driven(self) -> DrivenHamiltonian:
         return DrivenHamiltonian(self.bundle, self.path, self.hamiltonian,
-                                 self.grid, cover=self.cover,
-                                 ordering=self.ordering)
+                                 self.grid, cover=self.cover)
 
 
 def _pointer(parts) -> str:
@@ -369,7 +367,6 @@ def parse_scenario(doc: dict, name: str = "scenario") -> ScenarioConfig:
 
     idoc = doc["integrator"]
     steps = idoc["steps"]
-    ordering = idoc.get("ordering", "symmetric")
     unitary_steps = idoc.get("unitary_steps", min(steps, 512))
     segments = idoc.get("segments", min(steps, 2048))
     segment_counts = tuple(idoc.get("segment_counts", ()))
@@ -414,7 +411,7 @@ def parse_scenario(doc: dict, name: str = "scenario") -> ScenarioConfig:
         name=doc.get("name", name),
         n_parameters=m, n_fiber=n,
         bundle=bundle, path=path, hamiltonian=hamiltonian, grid=grid,
-        ordering=ordering, steps=steps, unitary_steps=unitary_steps,
+        steps=steps, unitary_steps=unitary_steps,
         segments=segments, segment_counts=segment_counts,
         record_every=record_every,
         initial_center=center, initial_width=width, initial_kick=kick,

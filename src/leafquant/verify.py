@@ -29,6 +29,9 @@ __all__ = ["CheckResult", "SUITE_NAMES", "run_suite", "format_results",
            "verify_ehrenfest", "verify_decomposition"]
 
 _SEED = 20260823
+_DIRAC_PAIRS, _DIRAC_POINTS = 50, 100
+_AFFINE_COUNT, _POLY_COUNT = 100, 20
+_DECOMPOSITION_SAMPLES = 200
 
 
 @dataclass
@@ -101,25 +104,25 @@ def _bindings(rng, names, count):
 # -- suites ---------------------------------------------------------------
 
 
-def verify_dirac(pairs: int = 50, points: int = 100,
-                 seed: int = _SEED) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+def verify_dirac() -> list[CheckResult]:
+    rng = np.random.default_rng(_SEED)
     results = []
 
     started = time.perf_counter()
     names = ["t", "s1", "s2", "q1", "q2"]
     worst = 0.0
-    for _ in range(pairs):
+    for _ in range(_DIRAC_PAIRS):
         f = _rand_affine(rng, 2, names)
         g = _rand_affine(rng, 2, names)
         worst = max(worst, dirac_symbol_defect(
-            f, g, _bindings(rng, names, points)))
+            f, g, _bindings(rng, names, _DIRAC_POINTS)))
     results.append(_check("dirac", "symbol_identity", worst, 1e-12,
                           started=started,
-                          detail=f"{pairs} pairs x {points} points"))
+                          detail=f"{_DIRAC_PAIRS} pairs x "
+                                 f"{_DIRAC_POINTS} points"))
 
     started = time.perf_counter()
-    rng2 = np.random.default_rng(seed + 1)
+    rng2 = np.random.default_rng(_SEED + 1)
     f = _rand_affine(rng2, 1, ["q1"])
     g = _rand_affine(rng2, 1, ["q1"])
     defects = []
@@ -136,23 +139,22 @@ def verify_dirac(pairs: int = 50, points: int = 100,
     return results
 
 
-def verify_hermiticity(affine_count: int = 100, poly_count: int = 20,
-                       seed: int = _SEED) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+def verify_hermiticity() -> list[CheckResult]:
+    rng = np.random.default_rng(_SEED)
     results = []
     names = ["t", "s1", "q1"]
 
     started = time.perf_counter()
     grid = FiberGrid(512, 9.0)
     worst = 0.0
-    for _ in range(affine_count):
+    for _ in range(_AFFINE_COUNT):
         f = _rand_affine(rng, 1, names)
         op = quantizer(f, grid).operator(float(rng.uniform(0, 2)),
                                          (float(rng.uniform(-1, 1)),))
         worst = max(worst, hermiticity_defect(op))
     results.append(_check("hermiticity", "affine_batch", worst, 1e-12,
                           started=started,
-                          detail=f"{affine_count} operators, N=512"))
+                          detail=f"{_AFFINE_COUNT} operators, N=512"))
 
     started = time.perf_counter()
     grid = FiberGrid(192, 9.0)
@@ -160,14 +162,14 @@ def verify_hermiticity(affine_count: int = 100, poly_count: int = 20,
               BumpCover(1, (((-6.0, 13.0),), ((6.0, 13.0),))),
               BumpCover(1, (((-7.0, 9.0),), ((0.0, 9.0),), ((7.0, 9.0),)))]
     worst = 0.0
-    for i in range(poly_count):
+    for i in range(_POLY_COUNT):
         f = _rand_polynomial(rng, 1, 3, names)
         op = quantizer(f, grid, covers[i % len(covers)]).operator(
             0.3, (0.2,))
         worst = max(worst, hermiticity_defect(op))
     results.append(_check("hermiticity", "polynomial_batch", worst, 1e-12,
                           started=started,
-                          detail=f"{poly_count} operators, degree <= 3"))
+                          detail=f"{_POLY_COUNT} operators, degree <= 3"))
 
     started = time.perf_counter()
     grid2 = FiberGrid((16, 16), 6.0)
@@ -203,7 +205,7 @@ def _nonabelian_dh(n_grid: int = 64, radius: float = 1.0,
                              FiberGrid(n_grid, half_width))
 
 
-def verify_holonomy(seed: int = _SEED) -> list[CheckResult]:
+def verify_holonomy() -> list[CheckResult]:
     results = []
     zero_h = PolynomialObservable(1, {})
 
@@ -275,7 +277,7 @@ def _driven_dh(n_grid: int, half_width: float, amp: float,
     return DrivenHamiltonian(bundle, path, ham, FiberGrid(n_grid, half_width))
 
 
-def verify_ehrenfest(seed: int = _SEED) -> list[CheckResult]:
+def verify_ehrenfest() -> list[CheckResult]:
     results = []
 
     started = time.perf_counter()
@@ -314,17 +316,16 @@ def verify_ehrenfest(seed: int = _SEED) -> list[CheckResult]:
     return results
 
 
-def verify_decomposition(samples: int = 200,
-                         seed: int = _SEED) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+def verify_decomposition() -> list[CheckResult]:
+    rng = np.random.default_rng(_SEED)
     results = []
     covers = {
         1: BumpCover(1, (((0.0, 14.0),),)),
         2: BumpCover(1, (((-6.0, 13.0),), ((6.0, 13.0),))),
         3: BumpCover(1, (((-7.0, 10.0),), ((0.0, 10.0),), ((7.0, 10.0),))),
     }
-    qs = rng.uniform(-5.0, 5.0, size=(samples, 1))
-    ps = rng.uniform(-3.0, 3.0, size=(samples, 1))
+    qs = rng.uniform(-5.0, 5.0, size=(_DECOMPOSITION_SAMPLES, 1))
+    ps = rng.uniform(-3.0, 3.0, size=(_DECOMPOSITION_SAMPLES, 1))
 
     started = time.perf_counter()
     worst = 0.0
@@ -347,7 +348,8 @@ def verify_decomposition(samples: int = 200,
             worst = max(worst, fact.max_error(0.7, (0.4,), qs, ps))
     results.append(_check("decomposition", "reconstruction", worst, 1e-12,
                           started=started,
-                          detail=f"{samples} samples, degrees 2-4"))
+                          detail=f"{_DECOMPOSITION_SAMPLES} samples, "
+                                 "degrees 2-4"))
 
     started = time.perf_counter()
     try:

@@ -40,7 +40,7 @@ def preset_report(name):
 
 def dirac_results():
     if not _DIRAC:
-        for r in verify_dirac(pairs=50, points=100):
+        for r in verify_dirac():
             _DIRAC[r.name] = r
     return _DIRAC
 
@@ -68,7 +68,7 @@ def test_acceptance_dirac_grid():
 
 def test_acceptance_hermiticity():
     started = time.perf_counter()
-    results = verify_hermiticity(affine_count=100, poly_count=20)
+    results = verify_hermiticity()
     elapsed = time.perf_counter() - started
     worst = max(r.measured for r in results)
     ok = all(r.passed for r in results) and worst <= 1e-12 \
@@ -84,7 +84,7 @@ def test_acceptance_hermiticity():
 
 def test_acceptance_decomposition():
     started = time.perf_counter()
-    results = {r.name: r for r in verify_decomposition(samples=200)}
+    results = {r.name: r for r in verify_decomposition()}
     elapsed = time.perf_counter() - started
     partition = results["partition_sums"].measured
     recon = results["reconstruction"].measured

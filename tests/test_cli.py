@@ -205,6 +205,21 @@ def test_scenario_evaluation_errors_exit_code(tmp_path, capsys):
         "error: non-finite number inf at /grid/L")
 
 
+def test_one_sided_ordering_rejected_at_load(tmp_path, capsys):
+    # a one-sided factor ordering would make the generator of a q-varying
+    # kinetic term non-Hermitian; it is a validation error before any
+    # numerics, so nothing is written
+    doc = tiny_doc()
+    doc["hamiltonian"] = [{"index": [1, 1], "coeff": "0.5 + 0.1*q1^2"}]
+    for ordering in ("left", "right"):
+        doc["integrator"] = {"steps": 16, "ordering": ordering}
+        out = tmp_path / ordering
+        cfg_file = write_doc(tmp_path, doc)
+        assert main(["run", str(cfg_file), "--out", str(out)]) == 1
+        assert "/integrator/ordering" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys):
     # a quartic term this strong makes one huge step diverge in the
     # series exponential, which must surface as a stage-tagged error

@@ -169,8 +169,6 @@ def test_driven_hamiltonian_validation():
         two = ParameterPath.from_expressions([c(0.0), c(0.0)],
                                              span=(0.0, 1.0))
         DrivenHamiltonian(bundle, two, P(1, {}), grid)
-    with pytest.raises(ValueError, match="ordering"):
-        DrivenHamiltonian(bundle, path, P(1, {}), grid, ordering="magic")
 
 
 # -- time-ordered evolution ----------------------------------------------

@@ -16,7 +16,6 @@ from leafquant.observables import (
     poisson_bracket,
 )
 from leafquant.operators import (
-    ORDERINGS,
     FiberGrid,
     WaveSection,
     affine_symbol,
@@ -422,33 +421,27 @@ def test_numeric_binding_matches_substitution(c, t, s, v):
             quantizer(f, g).operator(t, (s,))
 
 
-def _ordered_product(mats, ordering):
-    """Sum over the factor orders of the sparse products, as ``ordering``
-    prescribes; the reference for the quantizer's precomputed weights."""
+def _ordered_product(mats):
+    """Average over every factor order of the sparse products, each
+    reversed order as the adjoint; the reference for the quantizer's
+    precomputed weights."""
     if len(mats) == 1:
         return mats[0]
-    if ordering == "left":
-        orders = [tuple(range(len(mats)))]
-    elif ordering == "right":
-        orders = [tuple(reversed(range(len(mats))))]
-    else:
-        orders = [o for o in itertools.permutations(range(len(mats)))
-                  if o[0] < o[-1]]
+    orders = [o for o in itertools.permutations(range(len(mats)))
+              if o[0] < o[-1]]
     acc = None
     for order in orders:
         prod = mats[order[0]]
         for i in order[1:]:
             prod = prod @ mats[i]
         acc = prod if acc is None else acc + prod
-    if ordering == "symmetric":
-        return (acc + acc.conj().T) / (2 * len(orders))
-    return acc / len(orders)
+    return (acc + acc.conj().T) / (2 * len(orders))
 
 
-def _product_route(f, g, t, s, v, cover, ordering):
+def _product_route(f, g, t, s, v, cover):
     """Dense sum over the factorization of sparse products of the factors."""
     total = sum(_ordered_product(
-        [quantizer(h, g).operator(t, s, v) for h in group], ordering)
+        [quantizer(h, g).operator(t, s, v) for h in group])
         for group in decompose_polynomial(f, cover).factors)
     return total.toarray()
 
@@ -488,11 +481,11 @@ def test_quantizer_fills_match_rows_and_product_route(c, h, degree, seed):
         gauge = operators._gauge(g)
         f = _rate_affine(g.dim, c)
         poly = f + _random_high(g.dim, degree, h)
-        cases = [(f, None, "symmetric")] + [
-            (poly, cover, ordering) for cover in (None, covers[g.dim])
-            for ordering in ORDERINGS]
-        for obs, cover, ordering in cases:
-            q = quantizer(obs, g, cover, ordering)
+        cases = [(f, None), (poly, None), (poly, covers[g.dim])]
+        for obs, cover in cases:
+            q = quantizer(obs, g, cover)
+            mirror, stored = operators._transpose_slots(q.csr(np.ones(q.nnz)))
+            assert stored.all()
             with pytest.MonkeyPatch.context() as mp:
                 if obs is not f:
                     # blocks of 4 rows keep the polynomial cases cheap
@@ -507,17 +500,17 @@ def test_quantizer_fills_match_rows_and_product_route(c, h, degree, seed):
                     rows = [gauged(q.operator(t[r], s[r], v[r]), g)
                             for r in range(k)]
                     assert np.array_equal(block, np.array(rows))
+                    # every fill is symmetric to the bit
+                    assert np.array_equal(block, block[:, mirror])
                     chunks = [q.block(t[b], s[b], v[b])
                               for b in evolution._blocks(k, q.nnz)]
                     assert np.array_equal(np.concatenate(chunks), block)
             for r in (0, k - 1):
                 m = (gauge.conj()[:, None] * q.csr(block[r]).toarray()
                      * gauge)
-                ref = _product_route(obs, g, t[r], s[r], v[r], cover,
-                                     ordering)
+                ref = _product_route(obs, g, t[r], s[r], v[r], cover)
                 assert np.linalg.norm(m - ref) <= 1e-14 * np.linalg.norm(ref)
-                if ordering == "symmetric":
-                    assert np.array_equal(m, m.conj().T)
+                assert np.array_equal(m, m.conj().T)
             with pytest.raises(ValueError, match="binding incomplete.*v1"):
                 q.block(t, s)
         # one non-finite row fails the whole block, in either part
@@ -586,6 +579,15 @@ def step_unitary(h, dt, grid):
     return evolution._ungauged(u, grid), defect
 
 
+def one_sided():
+    """A grid and the one-sided ``quantize_affine_literal`` of the
+    q-varying drift (q1, -q2): not Hermitian, yet real in the gauge, as
+    the drift is free of divergence."""
+    g = FiberGrid((8, 8), (2.0, 2.0))
+    return g, quantize_affine_literal(
+        affine([Var("q1"), Const(-1.0) * Var("q2")], Const(0.0)), g)
+
+
 def test_expm_accepts_sparse_generators():
     # the step exponential of the evolution takes a CSR generator and
     # returns a dense unitary with the generator's hermiticity defect
@@ -594,10 +596,9 @@ def test_expm_accepts_sparse_generators():
     u, defect = step_unitary(op, 0.3, g)
     assert isinstance(u, np.ndarray) and defect == 0.0
     assert np.linalg.norm(u - scipy.linalg.expm(-0.3j * op.toarray())) < 1e-12
-    left = quantizer(P(1, {(1, 1): Var("q1") ** 2}), g,
-                     ordering="left").operator()
+    g2, literal = one_sided()
     with pytest.raises(RuntimeError, match="hermiticity"):
-        step_unitary(left, 1.0, g)
+        step_unitary(literal, 1.0, g2)
 
 
 # -- polynomial quantization ---------------------------------------------
@@ -629,18 +630,6 @@ def test_oscillator_ground_energy():
     assert np.linalg.norm(residual) / np.linalg.norm(ws.values) < 1e-3
 
 
-def test_symmetric_ordering_hermitian_left_not():
-    g = FiberGrid((48,), (4.0,))
-    f = P(1, {(1, 1): Var("q1") ** 2})
-    assert hermiticity_defect(quantizer(f, g).operator()) < 1e-12
-    assert hermiticity_defect(
-        quantizer(f, g, ordering="left").operator()) > 1e-6
-    sym = quantizer(f, g).operator().toarray()
-    left = quantizer(f, g, ordering="left").operator().toarray()
-    right = quantizer(f, g, ordering="right").operator().toarray()
-    assert np.allclose(sym, 0.5 * (left + right), atol=1e-12)
-
-
 def test_symmetric_ordering_is_hermitian_to_the_bit():
     # three factors (q1^2 p1) p1 p1: the product-plus-adjoint pairs must
     # equal the average over all six orders and be exactly Hermitian
@@ -654,12 +643,6 @@ def test_symmetric_ordering_is_hermitian_to_the_bit():
     average = sum(mats[a] @ mats[b] @ mats[c]
                   for a, b, c in itertools.permutations(range(3))) / 6
     assert np.linalg.norm(sym - average) <= 1e-12 * np.linalg.norm(average)
-
-
-def test_ordering_validation():
-    g = FiberGrid((16,), (2.0,))
-    with pytest.raises(ValueError, match="ordering"):
-        quantizer(P.momentum(1, dim=1), g, ordering="weyl").operator()
 
 
 def test_chart_curvature_potential():
@@ -754,9 +737,8 @@ def test_gauge_fold_rejects_an_odd_axis():
 
 
 def test_expm_rejects_non_hermitian():
-    g = FiberGrid((16,), (2.0,))
-    m = quantizer(P(1, {(1, 1): Var("q1") ** 2}), g,
-                  ordering="right").operator()
+    g, m = one_sided()
+    assert hermiticity_defect(m) > 1e-3
     with pytest.raises(RuntimeError, match="hermiticity"):
         step_unitary(m, 1.0, g)
 

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import leafquant
+from leafquant.scenarios import SCENARIO_SCHEMA
 
 PACKAGE_DIR = Path(leafquant.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -126,6 +127,27 @@ def test_every_export_has_a_caller():
                                 for tree in trees)):
                 uncalled.append(f"leafquant.{info.name}.{name}")
     assert not uncalled
+
+
+def test_readme_scenario_keys_match_the_schema():
+    # README names every key of the integrator block as
+    # `integrator.<key>`, and every value it lists for an enumerated key
+    # is one the schema accepts, so a removed key or value leaves no
+    # mention behind
+    readme = README.read_text()
+    properties = SCENARIO_SCHEMA["properties"]
+    integrator = properties["integrator"]["properties"]
+    assert not [key for key in integrator
+                if f"`integrator.{key}`" not in readme]
+    enums = {"integrator.ordering": integrator["ordering"]["enum"],
+             "outputs": properties["outputs"]["items"]["enum"]}
+    for key, allowed in enums.items():
+        # the bullet runs to the next line that is not indented
+        bullet = re.search(rf"^- `{re.escape(key)}`:(.*?)(?=^\S|\Z)",
+                           readme, re.M | re.S)
+        assert bullet, key
+        listed = re.findall(r"`(\w+)`", bullet[1])
+        assert listed and set(listed) <= set(allowed), (key, listed)
 
 
 @pytest.mark.parametrize("module", ["scipy.interpolate",

@@ -29,7 +29,6 @@ def test_minimal_config_parses():
     assert cfg.n_parameters == 1 and cfg.n_fiber == 1
     assert cfg.grid.shape == (32,)
     assert cfg.steps == 16
-    assert cfg.ordering == "symmetric"
     assert cfg.outputs == ("expectations", "phases")
     # defaults fill in everything not specified
     assert cfg.tolerances == DEFAULT_TOLERANCES
@@ -263,11 +262,16 @@ def test_tolerance_overrides_merge_with_defaults():
 
 
 def test_ordering_enum_enforced():
+    # symmetric is the one factor ordering: one-sided orderings give
+    # non-Hermitian generators and are rejected before any numerics
     doc = base_doc()
-    doc["integrator"]["ordering"] = "sorted"
-    with pytest.raises(ScenarioError) as err:
-        parse_scenario(doc)
-    assert err.value.pointer == "/integrator/ordering"
+    doc["integrator"]["ordering"] = "symmetric"
+    parse_scenario(doc)
+    for value in ("sorted", "left", "right"):
+        doc["integrator"]["ordering"] = value
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(doc)
+        assert err.value.pointer == "/integrator/ordering"
 
 
 def test_load_scenario_from_file(tmp_path):
