@@ -16,7 +16,7 @@ from . import __version__
 from .runner import RunError, run
 from .scenarios import (ScenarioError, load_scenario, preset_names,
                         preset_text)
-from .verify import format_results, run_suite
+from .verify import SUITE_NAMES, format_results, run_suite
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -44,8 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a self-check suite")
     p_verify.add_argument("suite",
-                          help="dirac, hermiticity, holonomy, ehrenfest, "
-                               "decomposition, or all")
+                          help=f"{', '.join(SUITE_NAMES)}, or all")
 
     p_preset = sub.add_parser("preset", help="write a bundled preset config")
     p_preset.add_argument("name", help="preset name (or 'list')")

@@ -39,8 +39,8 @@ generator of the dense pass and of the transport walk passes the one
 gate: its relative hermiticity defect (``hermiticity_defect``, which
 the gauge keeps) at most ``HERMITICITY_STEP_TOL``.  The Taylor state
 steps of H* are not gated; every quantizer fill is symmetric to the
-bit.  The dense pass forms U and U_geo once per
-window, and the split reads both and forms only U_dyn.  U and U_dyn are
+bit.  The dense pass forms U once per window, and the split reads it
+and forms U_geo and U_dyn over the same times.  U and U_dyn are
 products of exact step exponentials, so unitarity holds to rounding at
 every step count; each step comes from the one eigendecomposition
 ``_eigh``, whose eigenvectors V are real, and acts as V (e * (V^T x))
@@ -83,7 +83,6 @@ from .observables import (
 from .operators import (
     FiberGrid,
     WaveSection,
-    inner_product,
     momentum_expectations,
     position_expectations,
     Quantizer,
@@ -221,8 +220,13 @@ class DrivenHamiltonian:
 
 @dataclass
 class EvolutionResult:
+    """The dense pass over one window (``evolve_time_ordered``).
+
+    ``final_state`` and the phases are None unless the pass was given
+    ``initial``.
+    """
+
     unitary: np.ndarray
-    geometric: np.ndarray
     times: np.ndarray
     unitarity_defect: float
     max_step_hermiticity_defect: float
@@ -230,7 +234,6 @@ class EvolutionResult:
     final_state: WaveSection | None = None
     phase_total: float | None = None
     phase_total_unwrapped: float | None = None
-    phase_geometric: float | None = None
     phase_geometric_unwrapped: float | None = None
 
 
@@ -288,14 +291,19 @@ class ClassicalTrajectory:
 # -- dense time-ordered evolution ---------------------------------------
 
 
-def _resolve_span(dh, t_start, t_end):
+def _window(dh: DrivenHamiltonian, count: int, t_start: float | None,
+            t_end: float | None, what: str = "steps") -> np.ndarray:
+    """The ``count`` + 1 uniform times of the window [t_start, t_end],
+    each end the path span's when None: the one binding of a window."""
+    if count < 1:
+        raise ValueError(f"{what} must be at least 1")
     t0 = dh.span[0] if t_start is None else float(t_start)
     t1 = dh.span[1] if t_end is None else float(t_end)
     lo, hi = dh.span
     if not (lo - 1e-12 <= t0 < t1 <= hi + 1e-12):
         raise ValueError(
             f"requested window [{t0}, {t1}] outside the path span {dh.span}")
-    return t0, t1
+    return np.linspace(t0, t1, count + 1)
 
 
 def _is_static(dh: DrivenHamiltonian) -> bool:
@@ -401,20 +409,16 @@ def evolve_time_ordered(dh: DrivenHamiltonian, steps: int,
                         initial: WaveSection | None = None,
                         t_start: float | None = None,
                         t_end: float | None = None) -> EvolutionResult:
-    """The dense pass: U and the transport product U_geo over one window.
+    """The dense pass: U over one window.
 
-    U is the midpoint-ordered product of exact step exponentials; U_geo
-    (``EvolutionResult.geometric``) is the transport product over the
-    same times, which ``split_evolution`` reads instead of forming it
-    again.  With ``initial`` the state is carried along, and the total
-    phase (also unwrapped over the steps), the angle of U_geo on the
-    initial state and its unwrapped lift over the same segments
-    (``_transport_phases``) are reported.
+    U is the midpoint-ordered product of exact step exponentials, which
+    ``split_evolution`` reads.  With ``initial`` the state is carried
+    along, and the total phase (also unwrapped over the steps) and the
+    geometric phase, the unwrapped angle of the initial state carried
+    through the transport segments over the same times
+    (``_transport_phases``), are reported.
     """
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    t0, t1 = _resolve_span(dh, t_start, t_end)
-    times = np.linspace(t0, t1, steps + 1)
+    times = _window(dh, steps, t_start, t_end)
     psi0 = None
     if initial is not None:
         if initial.grid != dh.grid:
@@ -424,26 +428,22 @@ def evolve_time_ordered(dh: DrivenHamiltonian, steps: int,
     static = _is_static(dh)
     u, max_defect, psi, overlaps = _step_product(dh.full_quantizer, dh,
                                                  times, static, psi0)
-    geo = _geometric_product(dh, times)
     defect = float(np.linalg.norm(u @ u.conj().T - np.eye(len(u))))
     result = EvolutionResult(
         unitary=u,
-        geometric=geo,
         times=times,
         unitarity_defect=defect,
         max_step_hermiticity_defect=max_defect,
         static_collapse=static,
     )
     if psi is not None:
+        t1 = float(times[-1])
         result.final_state = WaveSection(dh.grid, psi, t1,
                                          dh.path.value(t1))
         args = np.angle(np.asarray(overlaps))
         result.phase_total = float(args[-1])
         result.phase_total_unwrapped = float(np.unwrap(
             np.concatenate(([0.0], args)))[-1])
-        result.phase_geometric = float(
-            np.angle(inner_product(
-                WaveSection(dh.grid, geo @ psi0), initial)))
         result.phase_geometric_unwrapped = float(
             _transport_phases(dh, times, psi0)[-1])
     return result
@@ -624,11 +624,8 @@ def geometric_factor(dh: DrivenHamiltonian, t_end: float | None = None,
     exponential, and a constant path gives the identity
     (``_geometric_product``).
     """
-    if segments < 1:
-        raise ValueError("segments must be at least 1")
-    t0, t1 = _resolve_span(dh, t_start, t_end)
-    times = np.linspace(t0, t1, segments + 1)
-    return _geometric_product(dh, times)
+    return _geometric_product(
+        dh, _window(dh, segments, t_start, t_end, "segments"))
 
 
 def _commutator_max(dh: DrivenHamiltonian, times: np.ndarray) -> float:
@@ -669,8 +666,9 @@ def _split_commutes(dh: DrivenHamiltonian) -> bool:
 def split_evolution(dh: DrivenHamiltonian, full: EvolutionResult):
     """Factor the dense pass ``full`` (of ``dh``) as U_geo U_dyn.
 
-    ``full`` carries U and U_geo; only U_dyn, the step product of H'
-    over the same times, is formed here.  Returns (U_geo, U_dyn,
+    ``full`` carries U; the transport product U_geo
+    (``_geometric_product``) and U_dyn, the step product of H', are
+    formed here over the same times.  Returns (U_geo, U_dyn,
     SplitReport): the largest relative commutator norm of G and H' at
     SPLIT_SAMPLES even steps (``_steps``), the factorization defect, and
     whether the family commutes (``_split_commutes``), in which case
@@ -680,18 +678,18 @@ def split_evolution(dh: DrivenHamiltonian, full: EvolutionResult):
         raise ValueError("dense result lives on a different grid")
     times = full.times
     # the samples come first, so their blocks of generator data are
-    # released before U_dyn's N x N product is formed
+    # released before the N x N products are formed
     comm_max = _commutator_max(dh, times)
+    u_geo = _geometric_product(dh, times)
     u_dyn = _step_product(dh.dynamic_quantizer, dh, times,
                           full.static_collapse)[0]
-    defect = float(np.linalg.norm(full.unitary - full.geometric @ u_dyn))
+    defect = float(np.linalg.norm(full.unitary - u_geo @ u_dyn))
     commuting = _split_commutes(dh)
     if commuting and defect > SPLIT_TOL:
         raise RuntimeError(
             f"commuting generators but factorization defect {defect:.3e} "
             f"exceeds {SPLIT_TOL:.1e}")
-    return (full.geometric, u_dyn,
-            SplitReport(float(comm_max), defect, commuting))
+    return u_geo, u_dyn, SplitReport(float(comm_max), defect, commuting)
 
 
 # -- state-only propagation ---------------------------------------------
@@ -771,12 +769,9 @@ def propagate_state(dh: DrivenHamiltonian, initial: WaveSection, steps: int,
     """
     if initial.grid != dh.grid:
         raise ValueError("initial state lives on a different grid")
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
+    times = _window(dh, steps, t_start, t_end)
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
-    t0, t1 = _resolve_span(dh, t_start, t_end)
-    times = np.linspace(t0, t1, steps + 1)
     grid = dh.grid
     n, m = grid.dim, dh.bundle.n_parameters
     s = _gauge(grid)
@@ -847,9 +842,7 @@ def classical_hamilton_flow(dh: DrivenHamiltonian, initial: ClassicalState,
     ``PolynomialObservable.evaluate`` term by term, and a non-finite
     coefficient or state ends the flow as it does there.
     """
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    t0, t1 = _resolve_span(dh, t_start, t_end)
+    times = _window(dh, steps, t_start, t_end)
     n, m = dh.grid.dim, dh.bundle.n_parameters
     q0 = np.asarray(initial.q, float)
     if q0.shape != (n,):
@@ -859,8 +852,7 @@ def classical_hamilton_flow(dh: DrivenHamiltonian, initial: ClassicalState,
              *(f"v{i}" for i in range(1, m + 1)),
              *(f"q{k}" for k in range(1, n + 1)))
 
-    dt = (t1 - t0) / steps
-    times = np.linspace(t0, t1, steps + 1)
+    dt = float(times[-1] - times[0]) / steps
     # stage times t, t + dt/2 and t + dt of every step, as rows, each
     # with its sigma and sigma'
     stage_t = np.stack([times[:-1], times[:-1] + 0.5 * dt, times[:-1] + dt])

@@ -50,7 +50,6 @@ __all__ = [
     "Quantizer",
     "quantizer",
     "quantize_affine_literal",
-    "inner_product",
     "hermiticity_defect",
     "position_expectations",
     "momentum_expectations",
@@ -460,13 +459,6 @@ def quantize_affine_literal(f: PolynomialObservable, grid: FiberGrid,
         divergence = divergence + sample(a[k].diff(f"q{k + 1}"))
     data[st.diagonal] = sample(b) + (-0.5j) * divergence
     return sp.csr_array((data, st.indices, st.indptr), shape=(grid.size,) * 2)
-
-
-def inner_product(a: WaveSection, b: WaveSection) -> complex:
-    """Fiberwise integral of a times the conjugate of b."""
-    if a.grid != b.grid:
-        raise ValueError("sections live on different grids")
-    return complex(a.grid.cell_volume * np.sum(a.values * b.values.conj()))
 
 
 def hermiticity_defect(h: sp.csr_array) -> float:

@@ -364,9 +364,6 @@ def verify_decomposition() -> list[CheckResult]:
     return results
 
 
-SUITE_NAMES = ("dirac", "hermiticity", "holonomy", "ehrenfest",
-               "decomposition")
-
 _SUITES = {
     "dirac": verify_dirac,
     "hermiticity": verify_hermiticity,
@@ -374,6 +371,7 @@ _SUITES = {
     "ehrenfest": verify_ehrenfest,
     "decomposition": verify_decomposition,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str) -> list[CheckResult]:

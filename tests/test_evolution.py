@@ -17,7 +17,6 @@ from leafquant.observables import (PolynomialObservable,
 from leafquant.operators import (
     FiberGrid,
     WaveSection,
-    inner_product,
     quantize_affine_literal,
     quantizer,
 )
@@ -188,8 +187,7 @@ def test_static_oscillator_ground_phase():
     ws = WaveSection.gaussian(dh.grid, width=1.0)
     res = evolve_time_ordered(dh, steps=4096, initial=ws)
     assert res.static_collapse
-    phase = np.angle(inner_product(
-        WaveSection(dh.grid, res.final_state.values), ws))
+    phase = np.angle(np.vdot(ws.values, res.final_state.values))
     assert min(abs(phase - np.pi), abs(phase + np.pi)) < 1e-3
     assert abs(res.phase_total - phase) < 1e-9
 
@@ -281,7 +279,7 @@ def test_public_producers_return_bare_arrays():
         assert type(op) is scipy.sparse.csr_array
         assert op.shape == (g.size, g.size)
     full = evolve_time_ordered(dh, steps=2)
-    for u in (full.unitary, full.geometric, *split_evolution(dh, full)[:2],
+    for u in (full.unitary, *split_evolution(dh, full)[:2],
               geometric_factor(dh, segments=4)):
         assert type(u) is np.ndarray
         assert u.shape == (g.size, g.size)
@@ -653,9 +651,10 @@ def test_geometric_phase_abelian_oracle():
     amp, kick, t1 = 0.35, 0.5, 1.0
     dh = oscillator_dh(n_grid=256, t1=t1)
     ws = WaveSection.gaussian(dh.grid, width=1.0, momentum=kick)
-    res = evolve_time_ordered(dh, steps=64, initial=ws)
+    u_geo = geometric_factor(dh, segments=64)
     delta = amp * np.sin(t1)
-    assert res.phase_geometric == pytest.approx(-kick * delta, abs=2e-3)
+    phase = np.angle(np.vdot(ws.values, u_geo @ ws.values))
+    assert phase == pytest.approx(-kick * delta, abs=2e-3)
 
 
 def test_coarse_geometric_phase_unwrapped_on_commuting_family():
@@ -667,7 +666,9 @@ def test_coarse_geometric_phase_unwrapped_on_commuting_family():
     fine = propagate_state(dh, ws, steps=200).phase_geometric[-1]
     assert fine == pytest.approx(-4.0 * np.sin(1.5), abs=0.1)
     assert res.phase_geometric_unwrapped == pytest.approx(fine, abs=1e-3)
-    gap = (res.phase_geometric_unwrapped - res.phase_geometric) / TWO_PI
+    u_geo = geometric_factor(dh, segments=16)
+    wrapped = np.angle(np.vdot(ws.values, u_geo @ ws.values))
+    gap = (res.phase_geometric_unwrapped - wrapped) / TWO_PI
     assert gap == pytest.approx(round(gap), abs=1e-12)
 
 
@@ -685,7 +686,9 @@ def test_coarse_geometric_phase_lifts_the_transported_angle(kick, slope,
     dh = sheared_loop_dh(slope, radius, n_grid=64, half_width=8.0)
     ws = WaveSection.gaussian(dh.grid, width=1.0, momentum=kick)
     res = evolve_time_ordered(dh, steps=128, initial=ws)
-    turns = (res.phase_geometric_unwrapped - res.phase_geometric) / TWO_PI
+    u_geo = geometric_factor(dh, segments=128)
+    wrapped = np.angle(np.vdot(ws.values, u_geo @ ws.values))
+    turns = (res.phase_geometric_unwrapped - wrapped) / TWO_PI
     assert turns == pytest.approx(round(turns), abs=1e-9)
     fine = propagate_state(dh, ws, steps=512).phase_geometric[-1]
     assert res.phase_geometric_unwrapped == pytest.approx(fine, abs=1e-2)
@@ -716,15 +719,15 @@ def test_one_path_read_per_window(monkeypatch):
     ws = WaveSection.gaussian(dh.grid, width=1.0, momentum=0.3)
     full = evolve_time_ordered(dh, 8, initial=ws)
     assert not full.static_collapse
-    # U, the telescoped U_geo and the coarse phase's segments
-    assert reads == ["values"] * 3
+    # U and the coarse phase's segments
+    assert reads == ["values"] * 2
     split_evolution(dh, full)
-    # U_dyn and the commutator samples
+    # the commutator samples, the telescoped U_geo and U_dyn
     assert reads == ["values"] * 5
 
 
-def test_diagnostics_run_forms_the_transport_product_once(tmp_path,
-                                                           monkeypatch):
+def _transport_products(tmp_path, monkeypatch, outputs):
+    """Segment counts of every ``_geometric_product`` call in one run."""
     config = parse_scenario({
         "dims": {"m": 1, "n": 1},
         "connection": {"lambda": [["1"]]},
@@ -735,7 +738,7 @@ def test_diagnostics_run_forms_the_transport_product_once(tmp_path,
         "grid": {"N": 16, "L": 5.0},
         "integrator": {"steps": 8, "unitary_steps": 4},
         "initial": {"center": 0.1, "width": 1.0, "kick": 0.2},
-        "outputs": ["diagnostics"],
+        "outputs": outputs,
     })
     calls = []
     product = evolution._geometric_product
@@ -746,8 +749,23 @@ def test_diagnostics_run_forms_the_transport_product_once(tmp_path,
 
     monkeypatch.setattr(evolution, "_geometric_product", counted)
     report = runner.run(config, tmp_path)
+    return calls, report
+
+
+def test_diagnostics_run_forms_the_transport_product_once(tmp_path,
+                                                           monkeypatch):
+    calls, report = _transport_products(tmp_path, monkeypatch,
+                                        ["diagnostics"])
     assert calls == [4]
     assert report.split is not None
+
+
+def test_run_without_diagnostics_forms_no_transport_product(tmp_path,
+                                                            monkeypatch):
+    # only the split reads U_geo, so the dense pass does not form it
+    calls, report = _transport_products(tmp_path, monkeypatch, [])
+    assert calls == []
+    assert report.split is None
 
 
 # -- factorization -------------------------------------------------------

@@ -22,7 +22,6 @@ from leafquant.operators import (
     dirac_grid_defect,
     dirac_symbol_defect,
     hermiticity_defect,
-    inner_product,
     momentum_expectations,
     position_expectations,
     quantize_affine_literal,
@@ -179,21 +178,13 @@ def test_wave_section_validation():
         WaveSection(g, np.ones(15))
 
 
-def test_inner_product_conjugates_second_slot():
-    g = FiberGrid((32,), (3.0,))
-    ws = WaveSection.gaussian(g)
-    rotated = WaveSection(g, 1j * ws.values)
-    val = inner_product(rotated, ws)
-    assert val.imag > 0.99 and abs(val.real) < 1e-12
-
-
 def test_plane_waves_orthogonal():
     g = FiberGrid((64,), (5.0,))
     x = g.axis(0)
     k = np.pi / 5.0
     w1 = WaveSection(g, np.exp(1j * 2 * k * x))
     w2 = WaveSection(g, np.exp(1j * 5 * k * x))
-    assert abs(inner_product(w1, w2)) < 1e-12
+    assert abs(g.cell_volume * np.vdot(w2.values, w1.values)) < 1e-12
 
 
 # -- affine quantization -------------------------------------------------
