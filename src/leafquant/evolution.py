@@ -36,10 +36,11 @@ symmetric S h S^dagger, and every row filled here is that float64 data
 (``Quantizer.block``).  U, U_geo, U_dyn and every carried state stay
 gauged and are taken back, exactly, where they are read.  Every
 generator of the dense pass and of the transport walk passes the one
-gate: its relative hermiticity defect (``hermiticity_defect``, which
-the gauge keeps) at most ``HERMITICITY_STEP_TOL``.  The Taylor state
-steps of H* are not gated; every quantizer fill is symmetric to the
-bit.  The dense pass forms U once per window, and the split reads it
+gate (``_gated``): its relative hermiticity defect, which the gauge
+keeps, read through the transpose map its quantizer built
+(``Quantizer.mirror``), at most ``HERMITICITY_STEP_TOL``.  The Taylor
+state steps of H* are not gated; every quantizer fill is symmetric to
+the bit.  The dense pass forms U once per window, and the split reads it
 and forms U_geo and U_dyn over the same times.  U and U_dyn are
 products of exact step exponentials, so unitarity holds to rounding at
 every step count; each step comes from the one eigendecomposition
@@ -88,9 +89,6 @@ from .operators import (
     Quantizer,
     quantizer,
     _gauge,
-    _pattern_defect,
-    _transpose_slots,
-    hermiticity_defect,
 )
 
 __all__ = [
@@ -128,13 +126,10 @@ SPLIT_TOL = 1e-8
 # off-diagonal residual of a commuting family's couplings in their joint
 # basis, relative to each coupling (``_commuting_basis``)
 COMMUTING_THRESHOLD = 1e-10
-# bytes of gauged generator data (8-byte float entries) filled at once:
-# a long window is sampled in blocks of rows, so it adds little to peak
-# memory
+# bytes of gauged generator data (8-byte float entries), or of a
+# commuting family's phase table, formed at once: a long window is taken
+# in blocks of rows, so it adds little to peak memory
 BLOCK_BYTES = 1 << 20
-# times of a commuting family's phase column taken at once: the column's
-# exponential table then holds at most this many rows of N entries
-PHASE_BLOCK_ROWS = 64
 
 
 @dataclass
@@ -232,7 +227,6 @@ class EvolutionResult:
     max_step_hermiticity_defect: float
     static_collapse: bool = False
     final_state: WaveSection | None = None
-    phase_total: float | None = None
     phase_total_unwrapped: float | None = None
     phase_geometric_unwrapped: float | None = None
 
@@ -270,7 +264,6 @@ class StateTrajectory:
 class ClassicalState:
     q: np.ndarray
     p: np.ndarray
-    t: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "q", np.atleast_1d(np.asarray(self.q, float)))
@@ -294,7 +287,9 @@ class ClassicalTrajectory:
 def _window(dh: DrivenHamiltonian, count: int, t_start: float | None,
             t_end: float | None, what: str = "steps") -> np.ndarray:
     """The ``count`` + 1 uniform times of the window [t_start, t_end],
-    each end the path span's when None: the one binding of a window."""
+    each end the path span's when None: the one binding of a window.
+    Only the dense pass and the geometric factor take a window inside
+    the span; the state route and the classical flow cover all of it."""
     if count < 1:
         raise ValueError(f"{what} must be at least 1")
     t0 = dh.span[0] if t_start is None else float(t_start)
@@ -334,21 +329,26 @@ def _commuting_family(dh: DrivenHamiltonian) -> bool:
                for c in row))
 
 
-def _gated(defect: float) -> float:
-    """A generator's relative hermiticity defect (``hermiticity_defect``),
-    if it is at most HERMITICITY_STEP_TOL: the one gate on a
-    generator."""
+def _gated(data: np.ndarray, mirror: np.ndarray) -> float:
+    """The relative hermiticity defect ||h - h^dagger||_F / max(1,
+    ||h||_F) of a gauged real fill ``data`` of a quantizer's pattern,
+    read through its transpose map ``mirror`` (``Quantizer.mirror``), if
+    it is at most HERMITICITY_STEP_TOL: the one gate on a generator."""
+    gap = data - data[mirror]
+    defect = float(math.sqrt(np.vdot(gap, gap))
+                   / max(1.0, np.linalg.norm(data)))
     if defect > HERMITICITY_STEP_TOL:
         raise RuntimeError(
             f"step generator lost hermiticity (relative defect {defect:.3e})")
     return defect
 
 
-def _eigh(h: sp.csr_array):
-    """(w, V, defect) with h = V diag(w) V^T for a gauged real h: the
-    one eigendecomposition, of h made dense after the gate (``_gated``),
-    so V is real orthogonal."""
-    defect = _gated(hermiticity_defect(h))
+def _eigh(h: sp.csr_array, mirror: np.ndarray):
+    """(w, V, defect) with h = V diag(w) V^T for a gauged real h whose
+    pattern has the transpose map ``mirror``: the one eigendecomposition,
+    of h made dense after the gate (``_gated``), so V is real
+    orthogonal."""
+    defect = _gated(h.data, mirror)
     w, v = np.linalg.eigh(h.toarray())
     return w, v, defect
 
@@ -391,7 +391,7 @@ def _step_product(q: Quantizer, dh: DrivenHamiltonian, times: np.ndarray,
     u, max_defect, overlaps = None, 0.0, []
     x = start = None if psi is None else s * psi
     for h in rows:
-        w, v, defect = _eigh(h)
+        w, v, defect = _eigh(h, q.mirror)
         max_defect = max(max_defect, defect)
         e = np.exp(-1j * dt * w)
         if x is not None:
@@ -413,7 +413,7 @@ def evolve_time_ordered(dh: DrivenHamiltonian, steps: int,
 
     U is the midpoint-ordered product of exact step exponentials, which
     ``split_evolution`` reads.  With ``initial`` the state is carried
-    along, and the total phase (also unwrapped over the steps) and the
+    along, and the total phase, unwrapped over the steps, and the
     geometric phase, the unwrapped angle of the initial state carried
     through the transport segments over the same times
     (``_transport_phases``), are reported.
@@ -440,10 +440,8 @@ def evolve_time_ordered(dh: DrivenHamiltonian, steps: int,
         t1 = float(times[-1])
         result.final_state = WaveSection(dh.grid, psi, t1,
                                          dh.path.value(t1))
-        args = np.angle(np.asarray(overlaps))
-        result.phase_total = float(args[-1])
         result.phase_total_unwrapped = float(np.unwrap(
-            np.concatenate(([0.0], args)))[-1])
+            np.concatenate(([0.0], np.angle(np.asarray(overlaps)))))[-1])
         result.phase_geometric_unwrapped = float(
             _transport_phases(dh, times, psi0)[-1])
     return result
@@ -465,11 +463,11 @@ def _commuting_basis(dh: DrivenHamiltonian):
     which bounds its hermiticity defect by twice as much.  The rows are
     filled through ``_rows``, with t and s bound to zero.
     """
-    m = dh.bundle.n_parameters
+    m, q = dh.bundle.n_parameters, dh.geometric_quantizer
     rate = np.vstack([np.pi ** -np.arange(m), np.eye(m)])
     zeros = np.zeros((m + 1, m))
-    rows = _rows(dh.geometric_quantizer, zeros[:, 0], zeros, rate)
-    _, v, _ = _eigh(next(rows))
+    rows = _rows(q, zeros[:, 0], zeros, rate)
+    _, v, _ = _eigh(next(rows), q.mirror)
     w = np.empty((m, len(v)))
     for lam, h in enumerate(rows):
         av = h @ v
@@ -491,7 +489,8 @@ def _transport_phases(dh: DrivenHamiltonian, times: np.ndarray,
     A commuting family's transport to time j is S^dagger V diag(exp(-i
     c_j . W)) V^T S (``commuting_basis``), c_j = sigma_j - sigma_0, so
     <psi0|psi_j> = sum_k |a_k|^2 exp(-i c_j . W_k), a = V^T S psi0, taken
-    PHASE_BLOCK_ROWS times at once.  Any other family walks S psi0
+    in blocks of times (``_blocks``) whose complex exponentials fill at
+    most BLOCK_BYTES.  Any other family walks S psi0
     (``_chebyshev_walk``) and reads <S psi0|S psi_j> = <psi0|psi_j>.
     """
     if dh.path.is_constant():
@@ -503,8 +502,8 @@ def _transport_phases(dh: DrivenHamiltonian, times: np.ndarray,
         sig = dh.path.values(times)
         c = sig - sig[0]
         overlaps = np.concatenate([
-            np.exp(-1j * (c[lo:lo + PHASE_BLOCK_ROWS] @ w)) @ weights
-            for lo in range(0, len(times), PHASE_BLOCK_ROWS)])
+            np.exp(-1j * (c[rows] @ w)) @ weights
+            for rows in _blocks(len(times), 2 * len(weights))])
         return np.unwrap(np.angle(overlaps))
     x = start.copy()
     return np.unwrap([0.0, *(np.angle(np.vdot(start, x))
@@ -545,19 +544,16 @@ def _chebyshev_walk(dh: DrivenHamiltonian, times: np.ndarray,
     2/R, R = ||h||_1 the Gershgorin bound, on the float view of x: 2k
     real columns for k complex ones.
     """
-    n = dh.grid.size
+    n, q = dh.grid.size, dh.geometric_quantizer
     flat = x.view(float).reshape(-1)
-    dt, rows = _steps(dh, times, dh.geometric_quantizer)
-    slots = None
+    dt, rows = _steps(dh, times, q)
+    cur = None
     for h in rows:
-        if slots is None:
-            # every row fills one canonical pattern, whose shape the
-            # native products below rely on; the buffers are taken after
-            # the first block of rows is filled, so they do not add to
-            # the peak of the fill
-            slots = _transpose_slots(h)
+        if cur is None:
+            # the buffers are taken after the first block of rows is
+            # filled, so they do not add to the peak of the fill
             cur, even, odd, term = (np.empty_like(flat) for _ in range(4))
-        _gated(_pattern_defect(h.data, slots))
+        _gated(h.data, q.mirror)
         r = np.bincount(h.indices, weights=np.abs(h.data), minlength=n).max()
         if r == 0.0:
             yield
@@ -753,10 +749,10 @@ def _taylor_apply(h: sp.csr_array, x: np.ndarray, dt: float) -> np.ndarray:
 
 
 def propagate_state(dh: DrivenHamiltonian, initial: WaveSection, steps: int,
-                    t_start: float | None = None, t_end: float | None = None,
                     record_every: int = 1,
                     with_geometric: bool = True) -> StateTrajectory:
-    """Propagate a state at fine step counts without per-step eigh.
+    """Propagate a state over the path span at fine step counts without
+    per-step eigh.
 
     Each step applies exp(-i dt H*), H* bound by ``_steps`` as in the
     dense pass and filled in blocks of steps (``_rows``; a static window
@@ -769,7 +765,7 @@ def propagate_state(dh: DrivenHamiltonian, initial: WaveSection, steps: int,
     """
     if initial.grid != dh.grid:
         raise ValueError("initial state lives on a different grid")
-    times = _window(dh, steps, t_start, t_end)
+    times = _window(dh, steps, None, None)
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
     grid = dh.grid
@@ -828,10 +824,9 @@ def propagate_state(dh: DrivenHamiltonian, initial: WaveSection, steps: int,
 
 
 def classical_hamilton_flow(dh: DrivenHamiltonian, initial: ClassicalState,
-                            t_end: float | None = None,
-                            steps: int = 1000,
-                            t_start: float | None = None) -> ClassicalTrajectory:
-    """Fixed-step 4th-order Runge-Kutta flow of the driven Hamiltonian.
+                            steps: int = 1000) -> ClassicalTrajectory:
+    """Fixed-step 4th-order Runge-Kutta flow of the driven Hamiltonian
+    over the path span, from ``initial`` at its start.
 
     The vector field is the Hamiltonian vector field of H*, with exact
     symbolic partials: dq_k/dt = dH*/dp_k, dp_k/dt = -dH*/dq_k, compiled
@@ -842,7 +837,7 @@ def classical_hamilton_flow(dh: DrivenHamiltonian, initial: ClassicalState,
     ``PolynomialObservable.evaluate`` term by term, and a non-finite
     coefficient or state ends the flow as it does there.
     """
-    times = _window(dh, steps, t_start, t_end)
+    times = _window(dh, steps, None, None)
     n, m = dh.grid.dim, dh.bundle.n_parameters
     q0 = np.asarray(initial.q, float)
     if q0.shape != (n,):

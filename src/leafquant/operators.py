@@ -198,6 +198,18 @@ def _phases(grid: FiberGrid, indptr, indices) -> np.ndarray:
     return np.repeat(s, np.diff(indptr)) * s.conj()[indices]
 
 
+def _layout(grid: FiberGrid, pattern: np.ndarray):
+    """(indptr, indices, mirror, phases) of a CSR pattern closed under
+    transpose, given as its sorted keys row * N + col: ``mirror[e]`` is
+    the position of entry e's mirror (j, i) in the data, and ``phases``
+    the entries' S_i conj(S_j) (``_phases``)."""
+    n = grid.size
+    mirror = np.searchsorted(pattern, pattern % n * n + pattern // n)
+    indptr = np.searchsorted(pattern, np.arange(n + 1) * n).astype(np.int32)
+    indices = (pattern % n).astype(np.int32)
+    return indptr, indices, mirror, _phases(grid, indptr, indices)
+
+
 def _real(values: np.ndarray) -> np.ndarray:
     """Gauged values as a C-contiguous float64 copy: the one conversion
     out of complex, and every imaginary part must be exactly 0.0."""
@@ -216,11 +228,14 @@ class _Stencil:
     d_ij of the central difference D_k (steps are +-1/(2h_k)), and
     ``drift_signs[k]`` the real S_i conj(S_j) (-i/2) = +-1/2 that the
     gauge gives their drift term -(i/2) d_ij (a_i + a_j); ``slots[k]``
-    and ``diagonal`` give their positions in the CSR data.
+    and ``diagonal`` give their positions in the CSR data, and
+    ``mirror`` and ``phases`` are the pattern's (``_layout``).
     """
 
     indptr: np.ndarray
     indices: np.ndarray
+    mirror: np.ndarray
+    phases: np.ndarray
     diagonal: np.ndarray
     rows: tuple[np.ndarray, ...]
     cols: tuple[np.ndarray, ...]
@@ -246,13 +261,12 @@ def _stencil(grid: FiberGrid) -> _Stencil:
     # with at least 8 points per axis the pieces never overlap
     pattern = np.unique(np.concatenate(keys))
     slots = [np.searchsorted(pattern, key) for key in keys]
-    indptr = np.searchsorted(pattern, np.arange(n + 1) * n).astype(np.int32)
-    indices = (pattern % n).astype(np.int32)
-    phases = _phases(grid, indptr, indices)
+    indptr, indices, mirror, phases = _layout(grid, pattern)
     signs = tuple(_real(-0.5j * phases[slot]) for slot in slots[1:])
-    st = _Stencil(indptr, indices, slots[0], tuple(rows), tuple(cols),
-                  tuple(steps), signs, tuple(slots[1:]))
-    for a in (indptr, indices, *slots, *rows, *cols, *steps, *signs):
+    st = _Stencil(indptr, indices, mirror, phases, slots[0], tuple(rows),
+                  tuple(cols), tuple(steps), signs, tuple(slots[1:]))
+    for a in (indptr, indices, mirror, phases, *slots, *rows, *cols, *steps,
+              *signs):
         a.flags.writeable = False
     return st
 
@@ -302,6 +316,8 @@ class Quantizer:
     """The operator h of one observable as a fill of one fixed CSR
     pattern, in the gauge: a fill is the real data of S h S^dagger.
 
+    The pattern is closed under transpose, and ``mirror`` and
+    ``phases`` are its transpose map and entry phases (``_layout``).
     ``drift`` (a_1..a_n) and ``potential`` (b), the trees of the affine
     slice, fill the stencil entries at ``slots`` and ``diagonal``.  Per
     product of the affine factorization with first factor c p_k,
@@ -312,6 +328,8 @@ class Quantizer:
     grid: FiberGrid
     indptr: np.ndarray
     indices: np.ndarray
+    mirror: np.ndarray
+    phases: np.ndarray
     drift: tuple[Expression, ...]
     potential: Expression
     diagonal: np.ndarray
@@ -353,8 +371,8 @@ class Quantizer:
                  rate: Sequence[float] = ()) -> sp.csr_array:
         """The complex operator h at one (t, sigma, rate): a one-row
         block taken back from the gauge."""
-        return self.csr(self.block([t], [sigma], [rate])[0] * _phases(
-            self.grid, self.indptr, self.indices).conj())
+        return self.csr(self.block([t], [sigma], [rate])[0]
+                        * self.phases.conj())
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray):
@@ -394,8 +412,8 @@ def quantizer(f: PolynomialObservable, grid: FiberGrid,
     a, b = f.up_to_degree(1).linear_coefficients()
     n, st = grid.size, _stencil(grid)
     if f.degree < 2:
-        return Quantizer(grid, st.indptr, st.indices, tuple(a), b,
-                         st.diagonal, st.slots)
+        return Quantizer(grid, st.indptr, st.indices, st.mirror, st.phases,
+                         tuple(a), b, st.diagonal, st.slots)
     if cover is not None:
         cover.check_covers(grid.points())
     eye = sp.identity(n, dtype=complex, format="csr")
@@ -417,10 +435,7 @@ def quantizer(f: PolynomialObservable, grid: FiberGrid,
     stencil = np.repeat(np.arange(n), np.diff(st.indptr)) * n + st.indices
     pattern = np.unique(np.concatenate(
         (stencil, keys, keys % n * n + keys // n)))
-    mirror = np.searchsorted(pattern, pattern % n * n + pattern // n)
-    indptr = np.searchsorted(pattern, np.arange(n + 1) * n).astype(np.int32)
-    indices = (pattern % n).astype(np.int32)
-    phases = _phases(grid, indptr, indices)
+    indptr, indices, mirror, phases = _layout(grid, pattern)
     high = []
     for ax, c, e, key, v in products:
         col = np.searchsorted(pattern, key)
@@ -429,8 +444,9 @@ def quantizer(f: PolynomialObservable, grid: FiberGrid,
         # the adjoint fold: every fill is symmetric to the bit
         high.append((ax, c, (weights + weights[:, mirror]) / 2))
     place = np.searchsorted(pattern, stencil)
-    return Quantizer(grid, indptr, indices, tuple(a), b, place[st.diagonal],
-                     tuple(place[s] for s in st.slots), tuple(high))
+    return Quantizer(grid, indptr, indices, mirror, phases, tuple(a), b,
+                     place[st.diagonal], tuple(place[s] for s in st.slots),
+                     tuple(high))
 
 
 def quantize_affine_literal(f: PolynomialObservable, grid: FiberGrid,
@@ -464,11 +480,16 @@ def quantize_affine_literal(f: PolynomialObservable, grid: FiberGrid,
 def hermiticity_defect(h: sp.csr_array) -> float:
     """||h - h^dagger||_F / max(1, ||h||_F), read in O(nnz) from the CSR
     data (duplicates summed first) and the transpose permutation of its
-    pattern (``_transpose_slots``)."""
+    pattern (``_transpose_slots``).  An entry whose mirror is not stored
+    enters h - h^dagger twice, at (i, j) and at (j, i)."""
     if not h.has_canonical_format:
         h = h.copy()
         h.sum_duplicates()
-    return _pattern_defect(h.data, _transpose_slots(h))
+    slot, stored = _transpose_slots(h)
+    gap = h.data - np.where(stored, h.data[slot].conj(), 0.0)
+    lone = h.data[~stored]
+    squares = np.vdot(gap, gap).real + np.vdot(lone, lone).real
+    return float(math.sqrt(squares) / max(1.0, np.linalg.norm(h.data)))
 
 
 def _transpose_slots(h: sp.csr_array) -> tuple[np.ndarray, np.ndarray]:
@@ -482,18 +503,6 @@ def _transpose_slots(h: sp.csr_array) -> tuple[np.ndarray, np.ndarray]:
     mirror = h.indices * n + row
     slot = np.minimum(np.searchsorted(keys, mirror), len(keys) - 1)
     return slot, keys[slot] == mirror
-
-
-def _pattern_defect(data: np.ndarray,
-                    slots: tuple[np.ndarray, np.ndarray]) -> float:
-    """``hermiticity_defect`` of the data on a canonical pattern with
-    ``_transpose_slots`` ``slots``.  An entry whose mirror is not stored
-    enters h - h^dagger twice, at (i, j) and at (j, i)."""
-    slot, stored = slots
-    gap = data - np.where(stored, data[slot].conj(), 0.0)
-    lone = data[~stored]
-    squares = np.vdot(gap, gap).real + np.vdot(lone, lone).real
-    return float(math.sqrt(squares) / max(1.0, np.linalg.norm(data)))
 
 
 def position_expectations(ws: WaveSection) -> np.ndarray:

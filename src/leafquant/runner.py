@@ -139,38 +139,34 @@ def trajectory_csv(traj, m: int, n: int) -> str:
               + [f"exp_p_{k+1}" for k in range(n)]
               + ["norm", "phase_total", "phase_geometric",
                  "unitarity_defect"])
-    geo = traj.phase_geometric if traj.phase_geometric is not None \
-        else np.zeros_like(traj.phase_total)
     lines = [",".join(header)]
     for i, t in enumerate(traj.times):
         row = ([t] + list(traj.sigma[i]) + list(traj.sigma_rate[i])
                + list(traj.positions[i]) + list(traj.momenta[i])
-               + [traj.norms[i], traj.phase_total[i], geo[i],
+               + [traj.norms[i], traj.phase_total[i],
+                  traj.phase_geometric[i],
                   abs(traj.norms[i] ** 2 - 1.0)])
         lines.append(_csv_row(row))
     return "\n".join(lines) + "\n"
 
 
-def _initial_state(config: ScenarioConfig, dh: DrivenHamiltonian,
-                   t0: float) -> WaveSection:
+def _initial_state(config: ScenarioConfig,
+                   dh: DrivenHamiltonian) -> WaveSection:
+    t0 = dh.span[0]
     return WaveSection.gaussian(
         config.grid, center=config.initial_center,
         width=config.initial_width, momentum=config.initial_kick,
         time=t0, sigma=tuple(np.atleast_1d(dh.path.value(t0))))
 
 
-def _ehrenfest_gaps(config, dh, traj, t0, t1):
+def _ehrenfest_gaps(config, dh, traj):
     flow = classical_hamilton_flow(
-        dh, ClassicalState(config.initial_center, config.initial_kick, t0),
-        t_end=t1, steps=config.steps, t_start=t0)
-    dt = (t1 - t0) / config.steps
-    idx = np.rint((traj.times - t0) / dt).astype(int)
-    q_cl = flow.positions[idx].reshape(len(idx), config.n_fiber)
-    p_cl = flow.momenta[idx].reshape(len(idx), config.n_fiber)
-    q_gap = float(np.max(np.abs(
-        traj.positions.reshape(len(idx), -1) - q_cl)))
-    p_gap = float(np.max(np.abs(
-        traj.momenta.reshape(len(idx), -1) - p_cl)))
+        dh, ClassicalState(config.initial_center, config.initial_kick),
+        steps=config.steps)
+    t0, t1 = dh.span
+    idx = np.rint((traj.times - t0) / ((t1 - t0) / config.steps)).astype(int)
+    q_gap = float(np.max(np.abs(traj.positions - flow.positions[idx])))
+    p_gap = float(np.max(np.abs(traj.momenta - flow.momenta[idx])))
     return {"max_position_gap": q_gap, "max_momentum_gap": p_gap,
             "classical_steps": int(config.steps)}
 
@@ -223,8 +219,7 @@ def run(config: ScenarioConfig, out_dir: str | Path,
         config = dataclasses.replace(config, steps=int(steps))
 
     dh = _staged("assembly", config.driven)
-    t0, t1 = dh.span
-    initial = _staged("assembly", _initial_state, config, dh, t0)
+    initial = _staged("assembly", _initial_state, config, dh)
 
     traj = _staged("propagation", propagate_state, dh, initial,
                    config.steps, record_every=config.record_every,
@@ -234,8 +229,7 @@ def run(config: ScenarioConfig, out_dir: str | Path,
 
     phases = {
         "total": float(traj.phase_total[-1]),
-        "geometric": float(traj.phase_geometric[-1])
-        if traj.phase_geometric is not None else 0.0,
+        "geometric": float(traj.phase_geometric[-1]),
         "total_coarse": dense.phase_total_unwrapped,
         "geometric_coarse": dense.phase_geometric_unwrapped,
     }
@@ -249,8 +243,7 @@ def run(config: ScenarioConfig, out_dir: str | Path,
                  "factorization_defect": float(rep.factorization_defect),
                  "commuting": bool(rep.commuting)}
     if "ehrenfest" in config.outputs:
-        ehrenfest = _staged("classical", _ehrenfest_gaps, config, dh,
-                            traj, t0, t1)
+        ehrenfest = _staged("classical", _ehrenfest_gaps, config, dh, traj)
     if "convergence" in config.outputs and config.segment_counts:
         convergence = _staged("convergence", _convergence_diag, dh,
                               config.segment_counts, factors)
@@ -260,7 +253,8 @@ def run(config: ScenarioConfig, out_dir: str | Path,
 
     artifacts = {"report": "report.json"}
     if "expectations" in config.outputs or "phases" in config.outputs:
-        csv_text = trajectory_csv(traj, config.n_parameters, config.n_fiber)
+        csv_text = trajectory_csv(traj, config.bundle.n_parameters,
+                                  config.bundle.n_fiber)
         (out / "trajectory.csv").write_text(csv_text)
         artifacts["trajectory"] = "trajectory.csv"
     if dump_unitary or "unitary" in config.outputs:
@@ -269,8 +263,8 @@ def run(config: ScenarioConfig, out_dir: str | Path,
 
     report = RunReport(
         scenario=config.name,
-        n_parameters=config.n_parameters,
-        n_fiber=config.n_fiber,
+        n_parameters=config.bundle.n_parameters,
+        n_fiber=config.bundle.n_fiber,
         steps=int(config.steps),
         unitary_steps=int(config.unitary_steps),
         static_collapse=bool(dense.static_collapse),

@@ -197,8 +197,6 @@ SCENARIO_SCHEMA: dict = {
 @dataclass
 class ScenarioConfig:
     name: str
-    n_parameters: int
-    n_fiber: int
     bundle: BundleModel
     path: ParameterPath
     hamiltonian: PolynomialObservable
@@ -409,7 +407,6 @@ def parse_scenario(doc: dict, name: str = "scenario") -> ScenarioConfig:
 
     return ScenarioConfig(
         name=doc.get("name", name),
-        n_parameters=m, n_fiber=n,
         bundle=bundle, path=path, hamiltonian=hamiltonian, grid=grid,
         steps=steps, unitary_steps=unitary_steps,
         segments=segments, segment_counts=segment_counts,

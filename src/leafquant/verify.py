@@ -287,7 +287,7 @@ def verify_ehrenfest() -> list[CheckResult]:
     steps = 2500
     traj = propagate_state(dh, initial, steps, record_every=25,
                            with_geometric=False)
-    flow = classical_hamilton_flow(dh, ClassicalState([0.12], [-0.09], 0.0),
+    flow = classical_hamilton_flow(dh, ClassicalState([0.12], [-0.09]),
                                    steps=steps)
     idx = np.rint(traj.times / (4.0 / steps)).astype(int)
     q_gap = np.max(np.abs(traj.positions[:, 0] - flow.positions[idx, 0]))
@@ -303,7 +303,7 @@ def verify_ehrenfest() -> list[CheckResult]:
                           1e-10, started=started, detail="256 steps"))
 
     started = time.perf_counter()
-    flow2 = classical_hamilton_flow(dh, ClassicalState([1.1], [0.4], 0.0),
+    flow2 = classical_hamilton_flow(dh, ClassicalState([1.1], [0.4]),
                                     steps=4000)
     sig = dh.path.values(flow2.times)[:, 0]
     # q follows p plus the parameter drift, so the co-moving energy

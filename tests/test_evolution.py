@@ -189,7 +189,9 @@ def test_static_oscillator_ground_phase():
     assert res.static_collapse
     phase = np.angle(np.vdot(ws.values, res.final_state.values))
     assert min(abs(phase - np.pi), abs(phase + np.pi)) < 1e-3
-    assert abs(res.phase_total - phase) < 1e-9
+    # the total phase, wrapped, is the final state's angle
+    assert abs(np.angle(np.exp(1j * (res.phase_total_unwrapped - phase)))) \
+        < 1e-9
 
 
 def test_self_convergence_second_order():
@@ -214,7 +216,8 @@ def test_phase_unwrap_consistency():
     dh = oscillator_dh(n_grid=64, t1=3.0)
     ws = WaveSection.gaussian(dh.grid, width=1.0)
     res = evolve_time_ordered(dh, steps=256, initial=ws)
-    gap = (res.phase_total_unwrapped - res.phase_total) / TWO_PI
+    wrapped = np.angle(np.vdot(ws.values, res.final_state.values))
+    gap = (res.phase_total_unwrapped - wrapped) / TWO_PI
     assert abs(gap - round(gap)) < 1e-9
 
 
@@ -329,11 +332,21 @@ def test_geometric_translation():
     assert np.linalg.norm(shifted - target) < 1e-3
 
 
-def test_loop_composition_aligned():
-    dh = nonabelian_dh(n_grid=48)
-    full = geometric_factor(dh, segments=64)
-    first = geometric_factor(dh, t_end=np.pi, segments=32)
-    second = geometric_factor(dh, t_start=np.pi, segments=32)
+@example(slope=1.0, radius=1.0, split=(64, 32))
+@given(slope=st.floats(0.2, 1.0), radius=st.floats(0.3, 1.0),
+       split=st.integers(2, 64).flatmap(
+           lambda n: st.tuples(st.just(n), st.integers(1, n - 1))))
+def test_loop_composition_aligned(slope, radius, split):
+    # the factor over n segments is the product of its factors over the
+    # first k and the last n - k, whose segments are the same: the
+    # composition law that the window of ``geometric_factor`` serves
+    n, k = split
+    dh = sheared_loop_dh(slope, radius)
+    t0, t1 = dh.span
+    cut = t0 + k * (t1 - t0) / n
+    full = geometric_factor(dh, segments=n)
+    first = geometric_factor(dh, t_end=cut, segments=k)
+    second = geometric_factor(dh, t_start=cut, segments=n - k)
     assert np.linalg.norm(full - second @ first) < 1e-12
 
 

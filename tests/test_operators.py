@@ -477,6 +477,8 @@ def test_quantizer_fills_match_rows_and_product_route(c, h, degree, seed):
             q = quantizer(obs, g, cover)
             mirror, stored = operators._transpose_slots(q.csr(np.ones(q.nnz)))
             assert stored.all()
+            # the gate reads the transpose map the quantizer built
+            assert np.array_equal(q.mirror, mirror)
             with pytest.MonkeyPatch.context() as mp:
                 if obs is not f:
                     # blocks of 4 rows keep the polynomial cases cheap
@@ -563,9 +565,12 @@ def test_quantizer_pattern_holds_affine_plus_high_part():
 def step_unitary(h, dt, grid):
     """exp(-i dt h) from the one eigendecomposition of the gauged S h
     S^dagger, taken back from the gauged basis, and h's relative
-    hermiticity defect."""
+    hermiticity defect, read through the transpose map of h's pattern,
+    which every case here closes under transpose."""
+    mirror, stored = operators._transpose_slots(h)
+    assert stored.all()
     w, v, defect = evolution._eigh(scipy.sparse.csr_array(
-        (gauged(h, grid), h.indices, h.indptr), shape=h.shape))
+        (gauged(h, grid), h.indices, h.indptr), shape=h.shape), mirror)
     u = evolution._exponential(v, np.exp(-1j * dt * w))
     return evolution._ungauged(u, grid), defect
 

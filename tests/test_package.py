@@ -129,6 +129,63 @@ def test_every_export_has_a_caller():
     assert not uncalled
 
 
+def _name(node: ast.expr) -> str | None:
+    return (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute) else None)
+
+
+def _passed(fn, trees: list[ast.Module]) -> set[str]:
+    """The parameters of ``fn`` that some call in the trees passes: a
+    call of ``fn``, or one that hands ``fn`` on as an argument followed
+    by its arguments (as ``runner._staged`` does)."""
+    sig = inspect.signature(fn)
+    out = set()
+    for node in (n for tree in trees for n in ast.walk(tree)
+                 if isinstance(n, ast.Call)):
+        args = node.args
+        if _name(node.func) != fn.__name__:
+            at = [i for i, a in enumerate(args) if _name(a) == fn.__name__]
+            if not at:
+                continue
+            args = args[at[0] + 1:]
+        starred = [i for i, a in enumerate(args)
+                   if isinstance(a, ast.Starred)]
+        args = args[:starred[0]] if starred else args
+        try:
+            bound = sig.bind_partial(*args, **{
+                k.arg: k.value for k in node.keywords if k.arg})
+        except TypeError:
+            continue
+        out.update(bound.arguments)
+    return out
+
+
+def test_every_default_parameter_has_a_setter():
+    # a defaulted parameter of a function that evolution or runner
+    # exports is passed by some call in the package, or a backticked
+    # README call or signature of the function names it as `param=`: a
+    # setting that nothing sets is a constant
+    trees = [ast.parse(path.read_text())
+             for path in sorted(PACKAGE_DIR.glob("*.py"))]
+    # fenced blocks, double- and single-backticked spans, in that order
+    spans = re.findall(r"```.*?```|``.+?``|`[^`]+`", README.read_text(),
+                       re.S)
+    unset = []
+    for module in (leafquant.evolution, leafquant.runner):
+        for fn in (getattr(module, name) for name in module.__all__):
+            if not inspect.isfunction(fn):
+                continue
+            documented = {name for span in spans
+                          for call in re.findall(
+                              rf"\b{fn.__name__}\(([^()]*)", span)
+                          for name in re.findall(r"(\w+)\s*=(?!=)", call)}
+            passed = _passed(fn, trees) | documented
+            unset += [f"{fn.__name__}({p.name}=)"
+                      for p in inspect.signature(fn).parameters.values()
+                      if p.default is not p.empty and p.name not in passed]
+    assert not unset
+
+
 def test_readme_scenario_keys_match_the_schema():
     # README names every key of the integrator block as
     # `integrator.<key>`, and every value it lists for an enumerated key

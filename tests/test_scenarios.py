@@ -26,7 +26,7 @@ def base_doc():
 
 def test_minimal_config_parses():
     cfg = parse_scenario(base_doc())
-    assert cfg.n_parameters == 1 and cfg.n_fiber == 1
+    assert cfg.bundle.n_parameters == 1 and cfg.bundle.n_fiber == 1
     assert cfg.grid.shape == (32,)
     assert cfg.steps == 16
     assert cfg.outputs == ("expectations", "phases")
@@ -307,7 +307,7 @@ def test_all_presets_load():
 
 def test_driven_oscillator_preset_shape():
     cfg = load_preset("driven_oscillator")
-    assert cfg.n_parameters == 1 and cfg.n_fiber == 1
+    assert cfg.bundle.n_parameters == 1 and cfg.bundle.n_fiber == 1
     assert cfg.grid.shape == (512,)
     assert cfg.steps == 10000
     assert cfg.path.span == (0.0, 10.0)
