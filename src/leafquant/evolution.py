@@ -45,7 +45,14 @@ and forms U_geo and U_dyn over the same times.  U and U_dyn are
 products of exact step exponentials, so unitarity holds to rounding at
 every step count; each step comes from the one eigendecomposition
 ``_eigh``, whose eigenvectors V are real, and acts as V (e * (V^T x))
-through real GEMMs.  The transport of a commuting family is
+through real GEMMs.  When every term of the stepped observable has even
+momentum degree, read from its definition (``Quantizer.parts``), its
+gauged row joins no index of even j_1 + ... + j_n to one of odd: the
+step is two blocks of size N/2, each with its own eigenbasis, and the
+product is carried as those two diagonal blocks.  That holds for H'
+without frame drift, so for U_dyn of a kinetic-plus-potential H, and
+for H* when G is empty; any other generator is one block.  The gate
+still reads the whole row.  The transport of a commuting family is
 V diag(e) V^T of its joint basis.
 The geometric phase, fine column and coarse value alike, is the
 unwrapped angle of the initial state carried through the transport
@@ -288,8 +295,9 @@ def _window(dh: DrivenHamiltonian, count: int, t_start: float | None,
             t_end: float | None, what: str = "steps") -> np.ndarray:
     """The ``count`` + 1 uniform times of the window [t_start, t_end],
     each end the path span's when None: the one binding of a window.
-    Only the dense pass and the geometric factor take a window inside
-    the span; the state route and the classical flow cover all of it."""
+    The geometric factor takes a window inside the span and the dense
+    pass one that may end early; the state route and the classical flow
+    cover all of it."""
     if count < 1:
         raise ValueError(f"{what} must be at least 1")
     t0 = dh.span[0] if t_start is None else float(t_start)
@@ -343,14 +351,16 @@ def _gated(data: np.ndarray, mirror: np.ndarray) -> float:
     return defect
 
 
-def _eigh(h: sp.csr_array, mirror: np.ndarray):
-    """(w, V, defect) with h = V diag(w) V^T for a gauged real h whose
-    pattern has the transpose map ``mirror``: the one eigendecomposition,
-    of h made dense after the gate (``_gated``), so V is real
-    orthogonal."""
+def _eigh(h: sp.csr_array, mirror: np.ndarray, parts):
+    """([(idx, w, V), ...], defect) with h = V diag(w) V^T on each index
+    set idx of ``parts`` (``Quantizer.parts``), which h joins nowhere,
+    for a gauged real h whose pattern has the transpose map ``mirror``:
+    the one eigendecomposition.  The gate (``_gated``) reads the whole
+    row once; then each block of h made dense is decomposed on its own,
+    so every V is real orthogonal."""
     defect = _gated(h.data, mirror)
-    w, v = np.linalg.eigh(h.toarray())
-    return w, v, defect
+    a = h.toarray()
+    return [(idx, *np.linalg.eigh(a[idx][:, idx])) for idx in parts], defect
 
 
 def _exponential(v: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -375,41 +385,61 @@ def _ungauged(u: np.ndarray, grid: FiberGrid) -> np.ndarray:
     return u
 
 
+def _assembled(parts, blocks: list[np.ndarray]) -> np.ndarray:
+    """The N x N matrix whose diagonal block on each index set of
+    ``parts`` is the matching one of ``blocks``, zero elsewhere: the
+    block itself when one set holds every index."""
+    if len(blocks) == 1:
+        return blocks[0]
+    n = sum(map(len, parts))
+    u = np.zeros((n, n), dtype=complex)
+    for idx, b in zip(parts, blocks):
+        u[np.ix_(idx, idx)] = b
+    return u
+
+
 def _step_product(q: Quantizer, dh: DrivenHamiltonian, times: np.ndarray,
                   static: bool, psi: np.ndarray | None = None):
     """Ordered product of exact step exponentials of q's ``_steps``
     rows, a static window's one step taken to the power: (U, worst
     defect, ``psi`` carried along, its overlaps with ``psi`` per step).
 
-    U and the state stay gauged: the first step V diag(e) V^T is
-    formed, every later one acts as V (e * (V^T U)), and both are taken
-    back at the end.
+    Each step is block-diagonal on the index sets ``q.parts`` (two
+    parities when every term of q's observable has even momentum
+    degree, ``_eigh``), and so is the product: it is carried as its
+    diagonal blocks, and U is assembled once, at the end.  U and the
+    state stay gauged: each block's first step V diag(e) V^T is formed,
+    every later one acts as V (e * (V^T U)), and both are taken back at
+    the end.
     """
     steps = len(times) - 1
     s = _gauge(dh.grid)
     dt, rows = _steps(dh, times[:2] if static else times, q)
-    u, max_defect, overlaps = None, 0.0, []
-    x = start = None if psi is None else s * psi
+    us, max_defect, overlaps = None, 0.0, []
+    start = None if psi is None else s * psi
+    x = None if psi is None else start.copy()
     for h in rows:
-        w, v, defect = _eigh(h, q.mirror)
+        blocks, defect = _eigh(h, q.mirror, q.parts)
         max_defect = max(max_defect, defect)
-        e = np.exp(-1j * dt * w)
+        factors = [(idx, v, np.exp(-1j * dt * w)) for idx, w, v in blocks]
         if x is not None:
             for _ in range(steps if static else 1):
-                x = _apply(v, e, x)
+                for idx, v, e in factors:
+                    x[idx] = _apply(v, e, x[idx])
                 overlaps.append(np.vdot(start, x))
-        u = _exponential(v, e) if u is None else _apply(v, e, u)
+        us = ([_exponential(v, e) for _, v, e in factors] if us is None
+              else [_apply(v, e, u) for (_, v, e), u in zip(factors, us)])
     if static:
-        u = np.linalg.matrix_power(u, steps)
-    return (_ungauged(u, dh.grid), max_defect,
+        us = [np.linalg.matrix_power(u, steps) for u in us]
+    return (_ungauged(_assembled(q.parts, us), dh.grid), max_defect,
             None if x is None else s.conj() * x, overlaps)
 
 
 def evolve_time_ordered(dh: DrivenHamiltonian, steps: int,
                         initial: WaveSection | None = None,
-                        t_start: float | None = None,
                         t_end: float | None = None) -> EvolutionResult:
-    """The dense pass: U over one window.
+    """The dense pass: U over the window from the path span's start to
+    ``t_end`` (the span's end when None).
 
     U is the midpoint-ordered product of exact step exponentials, which
     ``split_evolution`` reads.  With ``initial`` the state is carried
@@ -418,7 +448,7 @@ def evolve_time_ordered(dh: DrivenHamiltonian, steps: int,
     through the transport segments over the same times
     (``_transport_phases``), are reported.
     """
-    times = _window(dh, steps, t_start, t_end)
+    times = _window(dh, steps, None, t_end)
     psi0 = None
     if initial is not None:
         if initial.grid != dh.grid:
@@ -467,7 +497,8 @@ def _commuting_basis(dh: DrivenHamiltonian):
     rate = np.vstack([np.pi ** -np.arange(m), np.eye(m)])
     zeros = np.zeros((m + 1, m))
     rows = _rows(q, zeros[:, 0], zeros, rate)
-    _, v, _ = _eigh(next(rows), q.mirror)
+    # one basis over every index, whatever sets G keeps apart
+    [(_, _, v)], _ = _eigh(next(rows), q.mirror, (slice(None),))
     w = np.empty((m, len(v)))
     for lam, h in enumerate(rows):
         av = h @ v
@@ -824,7 +855,7 @@ def propagate_state(dh: DrivenHamiltonian, initial: WaveSection, steps: int,
 
 
 def classical_hamilton_flow(dh: DrivenHamiltonian, initial: ClassicalState,
-                            steps: int = 1000) -> ClassicalTrajectory:
+                            steps: int) -> ClassicalTrajectory:
     """Fixed-step 4th-order Runge-Kutta flow of the driven Hamiltonian
     over the path span, from ``initial`` at its start.
 

@@ -192,6 +192,18 @@ def _gauge(grid: FiberGrid) -> np.ndarray:
     return s
 
 
+@lru_cache(maxsize=64)
+def _parity(grid: FiberGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The grid indices (C order) of even and of odd j_1 + ... + j_n,
+    read-only: a quantized observable whose every term has even momentum
+    degree joins no index of one set to one of the other (``_gauge``)."""
+    odd = np.indices(grid.shape).sum(axis=0).ravel() % 2 == 1
+    parts = np.flatnonzero(~odd), np.flatnonzero(odd)
+    for a in parts:
+        a.flags.writeable = False
+    return parts
+
+
 def _phases(grid: FiberGrid, indptr, indices) -> np.ndarray:
     """The exact S_i conj(S_j) (``_gauge``) at each entry of a CSR pattern."""
     s = _gauge(grid)
@@ -323,6 +335,9 @@ class Quantizer:
     product of the affine factorization with first factor c p_k,
     ``high`` holds (k, c, weights): the real weights map that factor's
     entries -(1/2) d_ij (c_i + c_j) to the product's gauged data.
+    ``parts`` are the index sets that no fill joins: the two parities of
+    ``_parity`` when every term of the observable has even momentum
+    degree, else one slice of every index.
     """
 
     grid: FiberGrid
@@ -334,6 +349,7 @@ class Quantizer:
     potential: Expression
     diagonal: np.ndarray
     slots: tuple[np.ndarray, ...]
+    parts: tuple[np.ndarray | slice, ...]
     high: tuple[tuple[int, Expression, sp.csr_array], ...] = ()
 
     @property
@@ -405,15 +421,19 @@ def quantizer(f: PolynomialObservable, grid: FiberGrid,
     Hermitian to the bit.  An affine observable keeps the stencil
     pattern.
     The gauge is folded in once: each weight is multiplied by the phase
-    of its entry and must come out real (``_real``).
+    of its entry and must come out real (``_real``).  The index sets
+    kept apart (``Quantizer.parts``) are read from the definition: every
+    key of ``f.terms`` of even length gives the two parities.
     """
     if f.dim != grid.dim:
         raise ValueError("observable and grid dimensions differ")
     a, b = f.up_to_degree(1).linear_coefficients()
     n, st = grid.size, _stencil(grid)
+    parts = (_parity(grid) if all(len(k) % 2 == 0 for k in f.terms)
+             else (slice(None),))
     if f.degree < 2:
         return Quantizer(grid, st.indptr, st.indices, st.mirror, st.phases,
-                         tuple(a), b, st.diagonal, st.slots)
+                         tuple(a), b, st.diagonal, st.slots, parts)
     if cover is not None:
         cover.check_covers(grid.points())
     eye = sp.identity(n, dtype=complex, format="csr")
@@ -446,7 +466,7 @@ def quantizer(f: PolynomialObservable, grid: FiberGrid,
     place = np.searchsorted(pattern, stencil)
     return Quantizer(grid, indptr, indices, mirror, phases, tuple(a), b,
                      place[st.diagonal], tuple(place[s] for s in st.slots),
-                     tuple(high))
+                     parts, tuple(high))
 
 
 def quantize_affine_literal(f: PolynomialObservable, grid: FiberGrid,

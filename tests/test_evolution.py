@@ -12,7 +12,7 @@ from leafquant import evolution, operators, runner
 from leafquant.bundle import BundleModel, ParameterPath, reparametrize_path
 from leafquant import expressions as ex
 from leafquant.expressions import Const, Var, parse_expr
-from leafquant.observables import (PolynomialObservable,
+from leafquant.observables import (BumpCover, PolynomialObservable,
                                    hamiltonian_vector_field)
 from leafquant.operators import (
     FiberGrid,
@@ -856,6 +856,120 @@ def test_dense_pass_matches_expm_product(amp, freq, kin, wobble, coupling,
                      (u_dyn, dh.dynamic_quantizer)):
             assert np.linalg.norm(u - expm_steps(q, dh, full.times)) <= 1e-11
             assert unitarity_defect(u) <= 1e-12
+
+
+COVERS = {1: BumpCover(1, (((-3.0, 7.0),), ((3.0, 7.0),))),
+          2: BumpCover(2, (((-2.0, 7.0), (0.0, 7.0)),
+                           ((2.0, 7.0), (0.5, 7.0))))}
+
+
+def even_degree_dh(shape, h, cross, covered, drift, odd):
+    """A driven H with t-, s1- and q-dependent kinetic coefficients, an
+    optional p1 p2 cross term (two axes), bump cover, frame drift and
+    odd term p1^3, dragged by s1 = 0.3 sin(t) under unit couplings."""
+    n = len(shape)
+    q = [Var(f"q{k + 1}") for k in range(n)]
+    t, s1 = Var("t"), Var("s1")
+    terms = {(k + 1, k + 1): 0.5 + 0.1 * h[0] * q[k] ** 2 + h[1] * s1 * t
+             for k in range(n)}
+    terms[()] = 0.5 * sum(((x - s1) ** 2 for x in q), Const(0.0))
+    if cross and n == 2:
+        terms[(1, 2)] = h[2] * expr("cos(t + q1)", ["t", "q1"])
+    if odd:
+        terms[(1, 1, 1)] = 0.05 * h[3] * q[-1]
+    bundle = BundleModel(1, n, tuple((c(1.0),) for _ in range(n)),
+                         tuple(0.2 * t * x for x in q) if drift else ())
+    path = ParameterPath.from_expressions([expr("0.3*sin(t)", ["t"])],
+                                          span=(0.0, 1.0))
+    return DrivenHamiltonian(bundle, path, P(n, terms),
+                             FiberGrid(shape, (3.0,) * n),
+                             COVERS[n] if covered else None)
+
+
+@example(shape=(8, 10), h=[0.5, -0.4, 0.3, 0.2], cross=True, covered=True,
+         drift=False, odd=False, dt=1.0 / 3.0)
+@example(shape=(16,), h=[0.5, -0.4, 0.3, 0.2], cross=False, covered=False,
+         drift=False, odd=False, dt=0.2)
+@example(shape=(8, 8), h=[0.5, -0.4, 0.3, 0.2], cross=True, covered=False,
+         drift=True, odd=False, dt=0.2)
+@example(shape=(10,), h=[0.5, -0.4, 0.3, 0.2], cross=False, covered=True,
+         drift=False, odd=True, dt=0.2)
+@given(shape=st.sampled_from([(10,), (16,), (8, 8), (8, 10)]),
+       h=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+       cross=st.booleans(), covered=st.booleans(), drift=st.booleans(),
+       odd=st.booleans(), dt=st.floats(0.05, 1.0 / 3.0))
+def test_parity_blocks_match_the_full_exponential(shape, h, cross, covered,
+                                                  drift, odd, dt):
+    # an H' of even momentum degree joins no index of even j1 + ... + jn
+    # to one of odd, so each step is two blocks with their own
+    # eigenbases; frame drift or an odd term makes it one block
+    dh = even_degree_dh(shape, h, cross, covered, drift, odd)
+    q = dh.dynamic_quantizer
+    even = not (drift or odd)
+    assert q.parts == (operators._parity(dh.grid) if even
+                       else (slice(None),))
+    j = np.indices(shape).sum(axis=0).ravel() % 2
+    joins = j[:, None] != j
+    times = np.linspace(0.0, 3.0 * dt, 4)
+    sig = dh.path.values(times)
+    psi = WaveSection.gaussian(dh.grid, center=0.3, width=1.0,
+                               momentum=0.5).values
+    for r in range(3):
+        bound = (0.5 * (times[r] + times[r + 1]), 0.5 * (sig[r] + sig[r + 1]),
+                 (sig[r + 1] - sig[r]) / dt)
+        row = q.block(*([b] for b in bound))[0]
+        if even:
+            assert not q.csr(row).toarray()[joins].any()
+        blocks, _ = evolution._eigh(q.csr(row), q.mirror, q.parts)
+        u = evolution._ungauged(evolution._assembled(q.parts, [
+            evolution._exponential(v, np.exp(-1j * dt * w))
+            for _, w, v in blocks]), dh.grid)
+        ref = scipy.linalg.expm(-1j * dt * q.operator(*bound).toarray())
+        assert np.linalg.norm(u - ref) <= 1e-12
+    u, _, final, _ = evolution._step_product(q, dh, times, False, psi)
+    ref = expm_steps(q, dh, times)
+    assert np.linalg.norm(u - ref) <= 1e-12
+    assert np.linalg.norm(final - ref @ psi) <= 1e-12
+
+
+def dense_2d_dh(drift):
+    """8 x 8 grid shaped like the ``dense_2d`` workload: identity
+    coupling around a circle and H = (p1^2 + p2^2)/2 + 0.3 s1 p1 p2 +
+    |q - s|^2 / 8, with a frame drift when ``drift``."""
+    q1, q2, s1, s2 = Var("q1"), Var("q2"), Var("s1"), Var("s2")
+    bundle = BundleModel(2, 2, ((c(1.0), c(0.0)), (c(0.0), c(1.0))),
+                         (0.2 * q2, c(0.1)) if drift else ())
+    path = ParameterPath.from_expressions(
+        [expr("0.5*cos(t)", ["t"]), expr("0.5*sin(t)", ["t"])],
+        span=(0.0, TWO_PI), closed=True)
+    ham = P(2, {(1, 1): c(0.5), (2, 2): c(0.5), (1, 2): 0.3 * s1,
+                (): ((q1 - s1) ** 2 + (q2 - s2) ** 2) / 8.0})
+    return DrivenHamiltonian(bundle, path, ham, FiberGrid((8, 8), (5.0, 5.0)))
+
+
+def test_parity_blocks_halve_the_dynamic_eigh():
+    # the sizes of every eigh: U of H* = G + H' at N, since the coupling
+    # G has degree 1; U_dyn of an even-degree H' at N / 2, one call per
+    # parity and step; a frame drift gives H' degree 1 and keeps it at N
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def counted(m):
+        sizes.append(len(m))
+        return eigh(m)
+
+    for drift in (False, True):
+        dh = dense_2d_dh(drift)
+        n, steps = dh.grid.size, 4
+        # the joint basis of the commuting couplings is built beforehand
+        dh.commuting_basis
+        with mock.patch.object(np.linalg, "eigh", counted):
+            full = evolve_time_ordered(dh, steps)
+            assert sizes == [n] * steps
+            sizes.clear()
+            split_evolution(dh, full)
+        assert sizes == ([n] * steps if drift else [n // 2] * (2 * steps))
+        sizes.clear()
 
 
 def test_split_noncommuting_reports_without_asserting():

@@ -562,16 +562,24 @@ def test_quantizer_pattern_holds_affine_plus_high_part():
         assert total.has_sorted_indices
 
 
-def step_unitary(h, dt, grid):
+# the index sets of a generator that joins every index to every other
+WHOLE = (slice(None),)
+
+
+def step_unitary(h, dt, grid, parts):
     """exp(-i dt h) from the one eigendecomposition of the gauged S h
-    S^dagger, taken back from the gauged basis, and h's relative
-    hermiticity defect, read through the transpose map of h's pattern,
-    which every case here closes under transpose."""
+    S^dagger, one block per index set of ``parts``, taken back from the
+    gauged basis, and h's relative hermiticity defect, read through the
+    transpose map of h's pattern, which every case here closes under
+    transpose."""
     mirror, stored = operators._transpose_slots(h)
     assert stored.all()
-    w, v, defect = evolution._eigh(scipy.sparse.csr_array(
-        (gauged(h, grid), h.indices, h.indptr), shape=h.shape), mirror)
-    u = evolution._exponential(v, np.exp(-1j * dt * w))
+    blocks, defect = evolution._eigh(scipy.sparse.csr_array(
+        (gauged(h, grid), h.indices, h.indptr), shape=h.shape), mirror,
+        parts)
+    u = evolution._assembled(parts, [
+        evolution._exponential(v, np.exp(-1j * dt * w))
+        for _, w, v in blocks])
     return evolution._ungauged(u, grid), defect
 
 
@@ -588,13 +596,16 @@ def test_expm_accepts_sparse_generators():
     # the step exponential of the evolution takes a CSR generator and
     # returns a dense unitary with the generator's hermiticity defect
     g = FiberGrid((24,), (3.0,))
-    op = quantizer(P(1, {(1, 1): Const(0.5), (): Var("q1")}), g).operator()
-    u, defect = step_unitary(op, 0.3, g)
+    q = quantizer(P(1, {(1, 1): Const(0.5), (): Var("q1")}), g)
+    op = q.operator()
+    # of even momentum degree: one block per parity
+    assert len(q.parts) == 2
+    u, defect = step_unitary(op, 0.3, g, q.parts)
     assert isinstance(u, np.ndarray) and defect == 0.0
     assert np.linalg.norm(u - scipy.linalg.expm(-0.3j * op.toarray())) < 1e-12
     g2, literal = one_sided()
     with pytest.raises(RuntimeError, match="hermiticity"):
-        step_unitary(literal, 1.0, g2)
+        step_unitary(literal, 1.0, g2, WHOLE)
 
 
 # -- polynomial quantization ---------------------------------------------
@@ -707,8 +718,11 @@ def test_expm_matches_scipy_and_is_unitary():
             (1, 2): 0.3 + 0.1 * q2, (2, 2): Const(0.5), (1, 1, 2): 0.02 * q1,
             (1,): q2, (): 0.2 * q1 * q2}))]
     for g, f in cases:
-        h = quantizer(f, g).operator().toarray()
-        u, _ = step_unitary(scipy.sparse.csr_array(h), 0.37, g)
+        q = quantizer(f, g)
+        h = q.operator().toarray()
+        # odd momentum degree: one block
+        assert q.parts == WHOLE
+        u, _ = step_unitary(scipy.sparse.csr_array(h), 0.37, g, q.parts)
         ref = scipy.linalg.expm(-1j * 0.37 * h)
         assert np.linalg.norm(u - ref) < 1e-10
         assert np.linalg.norm(u @ u.conj().T - np.eye(g.size)) < 1e-12
@@ -718,7 +732,7 @@ def test_expm_matches_scipy_and_is_unitary():
     a = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
     with pytest.raises(RuntimeError, match="not real"):
         step_unitary(scipy.sparse.csr_array(a + a.conj().T), 0.37,
-                     cases[0][0])
+                     cases[0][0], WHOLE)
 
 
 def test_gauge_fold_rejects_an_odd_axis():
@@ -736,7 +750,7 @@ def test_expm_rejects_non_hermitian():
     g, m = one_sided()
     assert hermiticity_defect(m) > 1e-3
     with pytest.raises(RuntimeError, match="hermiticity"):
-        step_unitary(m, 1.0, g)
+        step_unitary(m, 1.0, g, WHOLE)
 
 
 # -- symbol layer --------------------------------------------------------
