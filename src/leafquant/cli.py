@@ -83,8 +83,7 @@ def _cmd_run(args) -> int:
               f"  p {report.ehrenfest['max_momentum_gap']:.3e}")
     if report.split is not None:
         tag = "commuting" if report.split["commuting"] else "non-commuting"
-        print(f"  split ({tag}): commutator "
-              f"{report.split['commutator_max']:.3e}, defect "
+        print(f"  split ({tag}): defect "
               f"{report.split['factorization_defect']:.3e}")
     if report.convergence is not None:
         gaps = ", ".join(f"{g:.3e}" for g in report.convergence["gaps"])

@@ -10,12 +10,12 @@ the frozen-parameter Hamiltonian H' (H plus the frame drift) and their
 sum H*.  Each is quantized by one ``operators.Quantizer``, built once on
 first use, and everything else binds numbers into these:
 
-- Every step, transport segment and commutator sample of a window
-  binds through ``_steps``: the step midpoint t, the mean s of sigma
-  at the step's ends and v = delta sigma / dt.  G is linear in v, so
-  dt G(v) = G(delta sigma): only the traced image enters the
-  transport, and a step of H* carries exactly its segment's
-  increment, so a commuting split closes.
+- Every step and transport segment of a window binds through
+  ``_steps``: the step midpoint t, the mean s of sigma at the step's
+  ends and v = delta sigma / dt.  G is linear in v, so dt G(v) =
+  G(delta sigma): only the traced image enters the transport, and a
+  step of H* carries exactly its segment's increment, so a commuting
+  split closes.
 - A commuting family (``_commuting_family``: couplings in q alone, and
   one parameter or constant couplings) has unit-rate couplings with one
   joint real eigenbasis V and eigenvalue rows W (``commuting_basis``,
@@ -126,9 +126,7 @@ TAYLOR_MAX_TERMS = 64
 # of a transport walk drops: a product multiplies up to thousands of
 # factors, so each stops at rounding to stay unitary to about 1e-13
 TRANSPORT_TAIL_TOL = 1e-16
-# the split's reported commutator samples, and the factorization
-# defect a commuting family must close to
-SPLIT_SAMPLES = 32
+# the factorization defect a commuting family must close to
 SPLIT_TOL = 1e-8
 # off-diagonal residual of a commuting family's couplings in their joint
 # basis, relative to each coupling (``_commuting_basis``)
@@ -240,16 +238,11 @@ class EvolutionResult:
 
 @dataclass
 class SplitReport:
-    """The split of a dense pass (``split_evolution``).
-
-    ``commuting`` is the verdict, read from the definitions.
-    ``commutator_max`` is a sampled figure, the largest relative norm of
-    [G, H'] at SPLIT_SAMPLES steps: 0.0 does not mean that G and H'
-    commute, since G or [G, H'] can vanish at every sample of a family
-    that does not.
+    """The split of a dense pass (``split_evolution``): the
+    factorization defect ||U - U_geo U_dyn||_F and the verdict
+    ``commuting``, read from the definitions (``_split_commutes``).
     """
 
-    commutator_max: float
     factorization_defect: float
     commuting: bool
 
@@ -655,24 +648,6 @@ def geometric_factor(dh: DrivenHamiltonian, t_end: float | None = None,
         dh, _window(dh, segments, t_start, t_end, "segments"))
 
 
-def _commutator_max(dh: DrivenHamiltonian, times: np.ndarray) -> float:
-    """Largest relative commutator norm of G and H' at SPLIT_SAMPLES
-    even steps of the window ``times`` (``_steps``)."""
-    comm_max = 0.0
-    ts = np.linspace(times[0], times[-1], SPLIT_SAMPLES + 1)
-    _, geo, dyn = _steps(dh, ts, dh.geometric_quantizer, dh.dynamic_quantizer)
-    for g, h in zip(geo, dyn):
-        ng, nh = np.linalg.norm(g.data), np.linalg.norm(h.data)
-        if ng == 0.0 or nh == 0.0:
-            continue
-        c = g @ h - h @ g
-        # a product's entries come unsorted; sorting them fixes the
-        # order in which the norm sums them
-        c.sum_duplicates()
-        comm_max = max(comm_max, np.linalg.norm(c.data) / (ng * nh))
-    return comm_max
-
-
 def _split_commutes(dh: DrivenHamiltonian) -> bool:
     """True when G and H' commute at every pair of times, so that U =
     U_geo U_dyn to rounding.
@@ -696,17 +671,13 @@ def split_evolution(dh: DrivenHamiltonian, full: EvolutionResult):
     ``full`` carries U; the transport product U_geo
     (``_geometric_product``) and U_dyn, the step product of H', are
     formed here over the same times.  Returns (U_geo, U_dyn,
-    SplitReport): the largest relative commutator norm of G and H' at
-    SPLIT_SAMPLES even steps (``_steps``), the factorization defect, and
-    whether the family commutes (``_split_commutes``), in which case
-    the defect is held to SPLIT_TOL.
+    SplitReport): the factorization defect, and whether the family
+    commutes (``_split_commutes``), in which case the defect is held to
+    SPLIT_TOL.
     """
     if full.unitary.shape != (dh.grid.size,) * 2:
         raise ValueError("dense result lives on a different grid")
     times = full.times
-    # the samples come first, so their blocks of generator data are
-    # released before the N x N products are formed
-    comm_max = _commutator_max(dh, times)
     u_geo = _geometric_product(dh, times)
     u_dyn = _step_product(dh.dynamic_quantizer, dh, times,
                           full.static_collapse)[0]
@@ -716,7 +687,7 @@ def split_evolution(dh: DrivenHamiltonian, full: EvolutionResult):
         raise RuntimeError(
             f"commuting generators but factorization defect {defect:.3e} "
             f"exceeds {SPLIT_TOL:.1e}")
-    return u_geo, u_dyn, SplitReport(float(comm_max), defect, commuting)
+    return u_geo, u_dyn, SplitReport(defect, commuting)
 
 
 # -- state-only propagation ---------------------------------------------
@@ -740,16 +711,15 @@ def _rows(q: Quantizer, t: np.ndarray, sigma: np.ndarray, rate: np.ndarray):
             yield h
 
 
-def _steps(dh: DrivenHamiltonian, times: np.ndarray, *quantizers):
-    """The one binding of a window's rows: the step width dt of the
-    uniform ``times`` and, per quantizer, its ``_rows`` at the step
-    midpoints, with s the mean of sigma at the step's ends and the rates
-    v = delta sigma / dt.  The path is read once, at ``times``."""
+def _steps(dh: DrivenHamiltonian, times: np.ndarray, q: Quantizer):
+    """The one binding of a window's rows: (dt, rows), the step width dt
+    of the uniform ``times`` and q's ``_rows`` at the step midpoints,
+    with s the mean of sigma at the step's ends and the rates v = delta
+    sigma / dt.  The path is read once, at ``times``."""
     dt = (times[-1] - times[0]) / (len(times) - 1)
     sig = dh.path.values(times)
-    bound = (0.5 * (times[1:] + times[:-1]), 0.5 * (sig[1:] + sig[:-1]),
-             (sig[1:] - sig[:-1]) / dt)
-    return (dt, *(_rows(q, *bound) for q in quantizers))
+    return dt, _rows(q, 0.5 * (times[1:] + times[:-1]),
+                     0.5 * (sig[1:] + sig[:-1]), (sig[1:] - sig[:-1]) / dt)
 
 
 def _taylor_apply(h: sp.csr_array, x: np.ndarray, dt: float) -> np.ndarray:

@@ -239,8 +239,7 @@ def run(config: ScenarioConfig, out_dir: str | Path,
     factors: dict[int, np.ndarray] = {}  # geometric factors of dh by segments
     if "diagnostics" in config.outputs:
         _, _, rep = _staged("diagnostics", split_evolution, dh, dense)
-        split = {"commutator_max": float(rep.commutator_max),
-                 "factorization_defect": float(rep.factorization_defect),
+        split = {"factorization_defect": float(rep.factorization_defect),
                  "commuting": bool(rep.commuting)}
     if "ehrenfest" in config.outputs:
         ehrenfest = _staged("classical", _ehrenfest_gaps, config, dh, traj)

@@ -62,6 +62,20 @@ def test_run_writes_artifacts(tmp_path, capsys):
     assert abs(first[5] - 1.0) < 1e-12
 
 
+def test_run_prints_the_split_verdict_and_defect(tmp_path, capsys):
+    # the potential depends on q, so G and H' do not commute
+    cfg_file = write_doc(tmp_path, tiny_doc(outputs=["diagnostics"]))
+    assert main(["run", str(cfg_file), "--out", str(tmp_path / "out")]) == 0
+    split = [line for line in capsys.readouterr().out.splitlines()
+             if line.lstrip().startswith("split")]
+    assert len(split) == 1
+    assert split[0].startswith("  split (non-commuting): defect ")
+    assert "commutator" not in split[0]
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert float(split[0].rsplit(" ", 1)[1]) == pytest.approx(
+        report["split"]["factorization_defect"], rel=1e-3)
+
+
 def test_report_json_round_trip(tmp_path):
     cfg = parse_scenario(tiny_doc())
     report = run(cfg, tmp_path / "out")
