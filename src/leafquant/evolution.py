@@ -54,9 +54,9 @@ without frame drift, so for U_dyn of a kinetic-plus-potential H, and
 for H* when G is empty; any other generator is one block.  The gate
 still reads the whole row.  The transport of a commuting family is
 V diag(e) V^T of its joint basis.
-The geometric phase, fine column and coarse value alike, is the
-unwrapped angle of the initial state carried through the transport
-segments (``_transport_phases``).
+The state route (``propagate_state``) is the one that carries a state;
+its geometric phase column is the unwrapped angle of the initial state
+carried through the transport segments (``_transport_phases``).
 
 Smaller exponentials are applied, not formed, by series whose every
 term is one native ``csr_matvecs`` product of a gauged row on the float
@@ -220,20 +220,14 @@ class DrivenHamiltonian:
 
 @dataclass
 class EvolutionResult:
-    """The dense pass over one window (``evolve_time_ordered``).
-
-    ``final_state`` and the phases are None unless the pass was given
-    ``initial``.
-    """
+    """The dense pass over the path span (``evolve_time_ordered``): U,
+    its times and its defects."""
 
     unitary: np.ndarray
     times: np.ndarray
     unitarity_defect: float
     max_step_hermiticity_defect: float
     static_collapse: bool = False
-    final_state: WaveSection | None = None
-    phase_total_unwrapped: float | None = None
-    phase_geometric_unwrapped: float | None = None
 
 
 @dataclass
@@ -288,9 +282,8 @@ def _window(dh: DrivenHamiltonian, count: int, t_start: float | None,
             t_end: float | None, what: str = "steps") -> np.ndarray:
     """The ``count`` + 1 uniform times of the window [t_start, t_end],
     each end the path span's when None: the one binding of a window.
-    The geometric factor takes a window inside the span and the dense
-    pass one that may end early; the state route and the classical flow
-    cover all of it."""
+    The geometric factor takes a window inside the span; the dense pass,
+    the state route and the classical flow cover all of it."""
     if count < 1:
         raise ValueError(f"{what} must be at least 1")
     t0 = dh.span[0] if t_start is None else float(t_start)
@@ -392,82 +385,46 @@ def _assembled(parts, blocks: list[np.ndarray]) -> np.ndarray:
 
 
 def _step_product(q: Quantizer, dh: DrivenHamiltonian, times: np.ndarray,
-                  static: bool, psi: np.ndarray | None = None):
+                  static: bool):
     """Ordered product of exact step exponentials of q's ``_steps``
     rows, a static window's one step taken to the power: (U, worst
-    defect, ``psi`` carried along, its overlaps with ``psi`` per step).
+    defect).
 
     Each step is block-diagonal on the index sets ``q.parts`` (two
     parities when every term of q's observable has even momentum
     degree, ``_eigh``), and so is the product: it is carried as its
-    diagonal blocks, and U is assembled once, at the end.  U and the
-    state stay gauged: each block's first step V diag(e) V^T is formed,
-    every later one acts as V (e * (V^T U)), and both are taken back at
-    the end.
+    diagonal blocks, and U is assembled once, at the end.  U stays
+    gauged: each block's first step V diag(e) V^T is formed, every later
+    one acts as V (e * (V^T U)), and U is taken back at the end.
     """
-    steps = len(times) - 1
-    s = _gauge(dh.grid)
     dt, rows = _steps(dh, times[:2] if static else times, q)
-    us, max_defect, overlaps = None, 0.0, []
-    start = None if psi is None else s * psi
-    x = None if psi is None else start.copy()
+    us, max_defect = None, 0.0
     for h in rows:
         blocks, defect = _eigh(h, q.mirror, q.parts)
         max_defect = max(max_defect, defect)
-        factors = [(idx, v, np.exp(-1j * dt * w)) for idx, w, v in blocks]
-        if x is not None:
-            for _ in range(steps if static else 1):
-                for idx, v, e in factors:
-                    x[idx] = _apply(v, e, x[idx])
-                overlaps.append(np.vdot(start, x))
-        us = ([_exponential(v, e) for _, v, e in factors] if us is None
-              else [_apply(v, e, u) for (_, v, e), u in zip(factors, us)])
+        factors = [(v, np.exp(-1j * dt * w)) for _, w, v in blocks]
+        us = ([_exponential(v, e) for v, e in factors] if us is None
+              else [_apply(v, e, u) for (v, e), u in zip(factors, us)])
     if static:
-        us = [np.linalg.matrix_power(u, steps) for u in us]
-    return (_ungauged(_assembled(q.parts, us), dh.grid), max_defect,
-            None if x is None else s.conj() * x, overlaps)
+        us = [np.linalg.matrix_power(u, len(times) - 1) for u in us]
+    return _ungauged(_assembled(q.parts, us), dh.grid), max_defect
 
 
-def evolve_time_ordered(dh: DrivenHamiltonian, steps: int,
-                        initial: WaveSection | None = None,
-                        t_end: float | None = None) -> EvolutionResult:
-    """The dense pass: U over the window from the path span's start to
-    ``t_end`` (the span's end when None).
-
-    U is the midpoint-ordered product of exact step exponentials, which
-    ``split_evolution`` reads.  With ``initial`` the state is carried
-    along, and the total phase, unwrapped over the steps, and the
-    geometric phase, the unwrapped angle of the initial state carried
-    through the transport segments over the same times
-    (``_transport_phases``), are reported.
-    """
-    times = _window(dh, steps, None, t_end)
-    psi0 = None
-    if initial is not None:
-        if initial.grid != dh.grid:
-            raise ValueError("initial state lives on a different grid")
-        psi0 = initial.values
-
+def evolve_time_ordered(dh: DrivenHamiltonian, steps: int) -> EvolutionResult:
+    """The dense pass: U over the path span, the midpoint-ordered
+    product of exact step exponentials, which ``split_evolution`` reads,
+    with its unitarity defect and the worst step hermiticity defect."""
+    times = _window(dh, steps, None, None)
     static = _is_static(dh)
-    u, max_defect, psi, overlaps = _step_product(dh.full_quantizer, dh,
-                                                 times, static, psi0)
-    defect = float(np.linalg.norm(u @ u.conj().T - np.eye(len(u))))
-    result = EvolutionResult(
+    u, max_defect = _step_product(dh.full_quantizer, dh, times, static)
+    return EvolutionResult(
         unitary=u,
         times=times,
-        unitarity_defect=defect,
+        unitarity_defect=float(
+            np.linalg.norm(u @ u.conj().T - np.eye(len(u)))),
         max_step_hermiticity_defect=max_defect,
         static_collapse=static,
     )
-    if psi is not None:
-        t1 = float(times[-1])
-        result.final_state = WaveSection(dh.grid, psi, t1,
-                                         dh.path.value(t1))
-        result.phase_total_unwrapped = float(np.unwrap(
-            np.concatenate(([0.0], np.angle(np.asarray(overlaps)))))[-1])
-        result.phase_geometric_unwrapped = float(
-            _transport_phases(dh, times, psi0)[-1])
-    return result
 
 
 # -- geometric factor ----------------------------------------------------
@@ -679,8 +636,8 @@ def split_evolution(dh: DrivenHamiltonian, full: EvolutionResult):
         raise ValueError("dense result lives on a different grid")
     times = full.times
     u_geo = _geometric_product(dh, times)
-    u_dyn = _step_product(dh.dynamic_quantizer, dh, times,
-                          full.static_collapse)[0]
+    u_dyn, _ = _step_product(dh.dynamic_quantizer, dh, times,
+                             full.static_collapse)
     defect = float(np.linalg.norm(full.unitary - u_geo @ u_dyn))
     commuting = _split_commutes(dh)
     if commuting and defect > SPLIT_TOL:
@@ -761,8 +718,7 @@ def propagate_state(dh: DrivenHamiltonian, initial: WaveSection, steps: int,
     total phase column is the unwrapped angle of the state on the
     initial one; the geometric column (``with_geometric``) is that of
     the initial state carried through the transport segments over the
-    same times (``_transport_phases``), as the dense pass's coarse
-    value is.
+    same times (``_transport_phases``).
     """
     if initial.grid != dh.grid:
         raise ValueError("initial state lives on a different grid")

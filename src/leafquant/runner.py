@@ -225,13 +225,11 @@ def run(config: ScenarioConfig, out_dir: str | Path,
                    config.steps, record_every=config.record_every,
                    with_geometric=True)
     dense = _staged("unitary", evolve_time_ordered, dh,
-                    config.unitary_steps, initial=initial)
+                    config.unitary_steps)
 
     phases = {
         "total": float(traj.phase_total[-1]),
         "geometric": float(traj.phase_geometric[-1]),
-        "total_coarse": dense.phase_total_unwrapped,
-        "geometric_coarse": dense.phase_geometric_unwrapped,
     }
     phases["dynamic"] = phases["total"] - phases["geometric"]
 

@@ -249,6 +249,25 @@ def verify_holonomy() -> list[CheckResult]:
 
     started = time.perf_counter()
     two_pi = 2.0 * np.pi
+    # sigma(2 pi - t) mirrors each segment's midpoint and negates its
+    # increment, so its transport is the inverse: an s-dependent
+    # coupling catches a step binding that is not symmetric in time
+    coupling = parse_expr("0.7*q1*(1 + s1)", ["q1", "s1"])
+    bundle = BundleModel(2, 1, ((Const(1.0), coupling),))
+    loop = _circle_path(1.0)
+    back = ParameterPath.from_expressions(
+        [c.substitute({"t": Const(two_pi) - Var("t")})
+         for c in loop.components], span=loop.span, closed=True)
+    u, u_back = (geometric_factor(DrivenHamiltonian(bundle, path, zero_h,
+                                                    FiberGrid(64, 8.0)),
+                                  segments=256) for path in (loop, back))
+    gap = np.max(np.abs(u_back - u.conj().T))
+    mag = np.linalg.norm(u - np.eye(len(u)))
+    results.append(_check("holonomy", "path_reversal", gap, 1e-13,
+                          started=started,
+                          detail=f"s-dependent coupling, |U - I| {mag:.1f}"))
+
+    started = time.perf_counter()
     warp = parse_expr(f"t + 0.5*t*({two_pi} - t)/{two_pi}", ["t"])
     dh_w = DrivenHamiltonian(dh.bundle, reparametrize_path(dh.path, warp),
                              zero_h, dh.grid)
@@ -297,8 +316,7 @@ def verify_ehrenfest() -> list[CheckResult]:
     results.append(_check("ehrenfest", "momentum_track", p_gap, 1e-3))
 
     started = time.perf_counter()
-    unit = evolve_time_ordered(_driven_dh(128, 6.0, 0.35, 4.0), 256,
-                               t_end=2.0)
+    unit = evolve_time_ordered(_driven_dh(128, 6.0, 0.35, 2.0), 256)
     results.append(_check("ehrenfest", "unitarity", unit.unitarity_defect,
                           1e-10, started=started, detail="256 steps"))
 

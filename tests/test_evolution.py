@@ -8,7 +8,7 @@ import scipy.sparse
 import scipy.special
 from hypothesis import example, given, strategies as st
 
-from leafquant import evolution, operators, runner
+from leafquant import evolution, operators, runner, verify
 from leafquant.bundle import BundleModel, ParameterPath, reparametrize_path
 from leafquant import expressions as ex
 from leafquant.expressions import Const, Var, parse_expr
@@ -185,13 +185,13 @@ def test_zero_hamiltonian_identity():
 def test_static_oscillator_ground_phase():
     dh = static_dh(n_grid=512, half_width=8.0)
     ws = WaveSection.gaussian(dh.grid, width=1.0)
-    res = evolve_time_ordered(dh, steps=4096, initial=ws)
+    res = evolve_time_ordered(dh, steps=4096)
     assert res.static_collapse
-    phase = np.angle(np.vdot(ws.values, res.final_state.values))
+    phase = np.angle(np.vdot(ws.values, res.unitary @ ws.values))
     assert min(abs(phase - np.pi), abs(phase + np.pi)) < 1e-3
-    # the total phase, wrapped, is the final state's angle
-    assert abs(np.angle(np.exp(1j * (res.phase_total_unwrapped - phase)))) \
-        < 1e-9
+    # the state route's total phase, wrapped, is the final state's angle
+    total = propagate_state(dh, ws, steps=4096).phase_total[-1]
+    assert abs(np.angle(np.exp(1j * (total - phase)))) < 1e-9
 
 
 def test_self_convergence_second_order():
@@ -215,10 +215,10 @@ def test_unitarity_defects():
 def test_phase_unwrap_consistency():
     dh = oscillator_dh(n_grid=64, t1=3.0)
     ws = WaveSection.gaussian(dh.grid, width=1.0)
-    res = evolve_time_ordered(dh, steps=256, initial=ws)
-    wrapped = np.angle(np.vdot(ws.values, res.final_state.values))
-    gap = (res.phase_total_unwrapped - wrapped) / TWO_PI
-    assert abs(gap - round(gap)) < 1e-9
+    u = evolve_time_ordered(dh, steps=256).unitary
+    wrapped = np.angle(np.vdot(ws.values, u @ ws.values))
+    total = propagate_state(dh, ws, steps=256).phase_total[-1]
+    assert abs(np.angle(np.exp(1j * (total - wrapped)))) < 1e-9
 
 
 def test_aliased_drive_is_not_static():
@@ -232,9 +232,9 @@ def test_aliased_drive_is_not_static():
     ws = WaveSection.gaussian(dh.grid, width=1.0)
     traj = propagate_state(dh, ws, steps=400)
     assert np.max(np.abs(traj.positions)) > 0.1
-    res = evolve_time_ordered(dh, steps=400, initial=ws)
+    res = evolve_time_ordered(dh, steps=400)
     assert not res.static_collapse
-    assert np.linalg.norm(res.final_state.values
+    assert np.linalg.norm(res.unitary @ ws.values
                           - traj.final_state.values) < 1e-9
 
 
@@ -255,7 +255,7 @@ def test_static_sampled_path_collapses():
 def test_window_validation():
     dh = oscillator_dh(n_grid=32, t1=1.0)
     with pytest.raises(ValueError, match="outside the path span"):
-        evolve_time_ordered(dh, steps=4, t_end=2.0)
+        geometric_factor(dh, t_end=2.0, segments=4)
     with pytest.raises(ValueError, match="steps"):
         evolve_time_ordered(dh, steps=0)
 
@@ -648,6 +648,22 @@ def test_reversed_path_inverts_the_transport(shape, coupling, slope, radius,
     assert np.max(np.abs(back - u.conj().T)) <= 1e-13
 
 
+def test_path_reversal_check_catches_a_start_bound_step(monkeypatch):
+    # a step that binds s at its start, not at the mean of its ends, is
+    # not symmetric in time, and the verify line sees it on its
+    # s-dependent coupling
+    def start_bound(dh, times, q):
+        dt = (times[-1] - times[0]) / (len(times) - 1)
+        sig = dh.path.values(times)
+        return dt, evolution._rows(q, 0.5 * (times[1:] + times[:-1]),
+                                   sig[:-1], (sig[1:] - sig[:-1]) / dt)
+    monkeypatch.setattr(evolution, "_steps", start_bound)
+    [line] = [r for r in verify.verify_holonomy()
+              if r.name == "path_reversal"]
+    assert not line.passed
+    assert line.measured > 1e-3
+
+
 @given(slope=st.floats(0.2, 1.0), radius=st.floats(0.3, 1.0))
 def test_loop_factor_unitary_and_matches_expm(slope, radius):
     dh = sheared_loop_dh(slope, radius)
@@ -717,13 +733,13 @@ def test_coarse_geometric_phase_unwrapped_on_commuting_family():
     # fine-step column here; the kicked packet turns by -k * delta sigma
     dh = oscillator_dh(n_grid=256, half_width=8.0, amp=1.0, t1=1.5)
     ws = WaveSection.gaussian(dh.grid, width=1.0, momentum=4.0)
-    res = evolve_time_ordered(dh, steps=16, initial=ws)
+    coarse = propagate_state(dh, ws, steps=16).phase_geometric[-1]
     fine = propagate_state(dh, ws, steps=200).phase_geometric[-1]
     assert fine == pytest.approx(-4.0 * np.sin(1.5), abs=0.1)
-    assert res.phase_geometric_unwrapped == pytest.approx(fine, abs=1e-3)
+    assert coarse == pytest.approx(fine, abs=1e-3)
     u_geo = geometric_factor(dh, segments=16)
     wrapped = np.angle(np.vdot(ws.values, u_geo @ ws.values))
-    gap = (res.phase_geometric_unwrapped - wrapped) / TWO_PI
+    gap = (coarse - wrapped) / TWO_PI
     assert gap == pytest.approx(round(gap), abs=1e-12)
 
 
@@ -733,20 +749,20 @@ def test_coarse_geometric_phase_unwrapped_on_commuting_family():
        radius=st.floats(0.3, 1.0))
 def test_coarse_geometric_phase_lifts_the_transported_angle(kick, slope,
                                                             radius):
-    # the coarse phase is the unwrapped angle of the packet carried
-    # through the segments of U_geo, so it differs from the angle of
-    # U_geo alone by whole turns; it tracks the fine-step column up to
-    # the segment error, which falls as segments^-2 (at most 3.9e-3 on a
-    # grid of this domain at 128 segments against 512 steps)
+    # the phase at a coarse step count is the unwrapped angle of the
+    # packet carried through the segments of U_geo, so it differs from
+    # the angle of U_geo alone by whole turns; it tracks the fine-step
+    # column up to the segment error, which falls as segments^-2 (at most
+    # 3.9e-3 on a grid of this domain at 128 segments against 512 steps)
     dh = sheared_loop_dh(slope, radius, n_grid=64, half_width=8.0)
     ws = WaveSection.gaussian(dh.grid, width=1.0, momentum=kick)
-    res = evolve_time_ordered(dh, steps=128, initial=ws)
+    coarse = propagate_state(dh, ws, steps=128).phase_geometric[-1]
     u_geo = geometric_factor(dh, segments=128)
     wrapped = np.angle(np.vdot(ws.values, u_geo @ ws.values))
-    turns = (res.phase_geometric_unwrapped - wrapped) / TWO_PI
+    turns = (coarse - wrapped) / TWO_PI
     assert turns == pytest.approx(round(turns), abs=1e-9)
     fine = propagate_state(dh, ws, steps=512).phase_geometric[-1]
-    assert res.phase_geometric_unwrapped == pytest.approx(fine, abs=1e-2)
+    assert coarse == pytest.approx(fine, abs=1e-2)
 
 
 @example(kick=0.5, slope=1.0, radius=1.0)
@@ -771,14 +787,40 @@ def test_one_path_read_per_window(monkeypatch):
             return read(self, ts)
         monkeypatch.setattr(ParameterPath, name, counted)
     dh = oscillator_dh(n_grid=32, t1=1.0)
-    ws = WaveSection.gaussian(dh.grid, width=1.0, momentum=0.3)
-    full = evolve_time_ordered(dh, 8, initial=ws)
+    full = evolve_time_ordered(dh, 8)
     assert not full.static_collapse
-    # U and the coarse phase's segments
-    assert reads == ["values"] * 2
+    # the steps of U
+    assert reads == ["values"]
     split_evolution(dh, full)
     # the telescoped U_geo and U_dyn
-    assert reads == ["values"] * 4
+    assert reads == ["values"] * 3
+
+
+def test_run_walks_the_phase_transport_once(tmp_path, monkeypatch):
+    # the state route carries the one state: its geometric column is the
+    # run's one phase transport, and the dense pass forms U alone
+    config = parse_scenario({
+        "dims": {"m": 2, "n": 1},
+        "connection": {"lambda": [["1", "0.5*q1"]]},
+        "path": {"kind": "closed_form",
+                 "components": ["0.5*cos(t)", "0.5*sin(t)"],
+                 "span": [0.0, 6.283185307179586], "closed": True},
+        "hamiltonian": [{"index": [1, 1], "coeff": "0.5"}],
+        "grid": {"N": 16, "L": 5.0},
+        "integrator": {"steps": 8, "unitary_steps": 4},
+        "initial": {"center": 0.1, "width": 1.0, "kick": 0.2},
+        "outputs": ["phases", "diagnostics"],
+    })
+    calls = []
+    phases = evolution._transport_phases
+
+    def counted(dh, times, psi0):
+        calls.append(len(times) - 1)
+        return phases(dh, times, psi0)
+    monkeypatch.setattr(evolution, "_transport_phases", counted)
+    report = runner.run(config, tmp_path)
+    assert calls == [8]
+    assert set(report.phases) == {"total", "geometric", "dynamic"}
 
 
 def _transport_products(tmp_path, monkeypatch, outputs):
@@ -953,8 +995,6 @@ def test_parity_blocks_match_the_full_exponential(shape, h, cross, covered,
     joins = j[:, None] != j
     times = np.linspace(0.0, 3.0 * dt, 4)
     sig = dh.path.values(times)
-    psi = WaveSection.gaussian(dh.grid, center=0.3, width=1.0,
-                               momentum=0.5).values
     for r in range(3):
         bound = (0.5 * (times[r] + times[r + 1]), 0.5 * (sig[r] + sig[r + 1]),
                  (sig[r + 1] - sig[r]) / dt)
@@ -967,10 +1007,8 @@ def test_parity_blocks_match_the_full_exponential(shape, h, cross, covered,
             for _, w, v in blocks]), dh.grid)
         ref = scipy.linalg.expm(-1j * dt * q.operator(*bound).toarray())
         assert np.linalg.norm(u - ref) <= 1e-12
-    u, _, final, _ = evolution._step_product(q, dh, times, False, psi)
-    ref = expm_steps(q, dh, times)
-    assert np.linalg.norm(u - ref) <= 1e-12
-    assert np.linalg.norm(final - ref @ psi) <= 1e-12
+    u, _ = evolution._step_product(q, dh, times, False)
+    assert np.linalg.norm(u - expm_steps(q, dh, times)) <= 1e-12
 
 
 def dense_2d_dh(drift):
@@ -1065,12 +1103,12 @@ def test_propagate_matches_dense_evolution(make_dh):
     # a real overlap that changes sign is +pi or -pi depending on rounding
     ws = WaveSection.gaussian(dh.grid, width=1.0, momentum=0.3)
     traj = propagate_state(dh, ws, steps=200)
-    dense = evolve_time_ordered(dh, steps=200, initial=ws)
-    assert np.linalg.norm(traj.final_state.values
-                          - dense.final_state.values) < 1e-9
+    final = evolve_time_ordered(dh, steps=200).unitary @ ws.values
+    assert np.linalg.norm(traj.final_state.values - final) < 1e-9
     assert abs(traj.norms[-1] - 1.0) < 1e-10
-    gap = traj.phase_total[-1] - dense.phase_total_unwrapped
-    assert abs(gap) < 1e-8
+    wrapped = np.angle(np.vdot(ws.values, final))
+    assert abs(np.angle(np.exp(1j * (traj.phase_total[-1] - wrapped)))) \
+        < 1e-8
 
 
 def test_propagate_sigma_dependent_kinetic_matches_dense():
@@ -1084,19 +1122,18 @@ def test_propagate_sigma_dependent_kinetic_matches_dense():
     dh = DrivenHamiltonian(bundle, path, ham, FiberGrid((48,), (6.0,)))
     ws = WaveSection.gaussian(dh.grid, width=1.0)
     traj = propagate_state(dh, ws, steps=100)
-    dense = evolve_time_ordered(dh, steps=100, initial=ws)
-    assert np.linalg.norm(traj.final_state.values
-                          - dense.final_state.values) < 1e-9
+    final = evolve_time_ordered(dh, steps=100).unitary @ ws.values
+    assert np.linalg.norm(traj.final_state.values - final) < 1e-9
 
 
 def assert_propagation_matches_dense(dh, steps):
     ws = WaveSection.gaussian(dh.grid, width=1.0, momentum=0.3)
     traj = propagate_state(dh, ws, steps=steps)
-    dense = evolve_time_ordered(dh, steps=steps, initial=ws)
-    assert np.linalg.norm(traj.final_state.values
-                          - dense.final_state.values) < 1e-9
-    gap = traj.phase_total[-1] - dense.phase_total_unwrapped
-    assert abs(gap) < 1e-8
+    final = evolve_time_ordered(dh, steps=steps).unitary @ ws.values
+    assert np.linalg.norm(traj.final_state.values - final) < 1e-9
+    wrapped = np.angle(np.vdot(ws.values, final))
+    assert abs(np.angle(np.exp(1j * (traj.phase_total[-1] - wrapped)))) \
+        < 1e-8
     # every drive here has one parameter, so the family commutes: the
     # transport to t_j is exp(-i (sigma_j - sigma_0) A), with A the
     # coupling operator at unit rate, and the column is its unwrapped

@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import json
 import os
 import pkgutil
 import re
@@ -14,7 +15,8 @@ from pathlib import Path
 import pytest
 
 import leafquant
-from leafquant.scenarios import SCENARIO_SCHEMA
+from leafquant.runner import run
+from leafquant.scenarios import SCENARIO_SCHEMA, parse_scenario
 
 PACKAGE_DIR = Path(leafquant.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -205,6 +207,31 @@ def test_readme_scenario_keys_match_the_schema():
         assert bullet, key
         listed = re.findall(r"`(\w+)`", bullet[1])
         assert listed and set(listed) <= set(allowed), (key, listed)
+
+
+def test_readme_artifacts_name_every_report_key(tmp_path):
+    # the Artifacts section names, in backticks, every key that a run
+    # writes into the report's phases and split blocks, so a key added
+    # or removed leaves no stale description behind
+    config = parse_scenario({
+        "dims": {"m": 1, "n": 1},
+        "connection": {"lambda": [["1"]]},
+        "path": {"kind": "closed_form", "components": ["0.3*sin(t)"],
+                 "span": [0.0, 1.0]},
+        "hamiltonian": [{"index": [1, 1], "coeff": "0.5"},
+                        {"index": [], "coeff": "0.5*(q1 - s1)^2"}],
+        "grid": {"N": 16, "L": 5.0},
+        "integrator": {"steps": 8, "unitary_steps": 4},
+        "initial": {"center": 0.1, "width": 1.0, "kick": 0.2},
+        "outputs": ["diagnostics"],
+    })
+    run(config, tmp_path)
+    report = json.loads((tmp_path / "report.json").read_text())
+    section = re.search(r"^## Artifacts$(.*?)(?=^## |\Z)",
+                        README.read_text(), re.M | re.S)[1]
+    named = set(re.findall(r"`(\w+)`", section))
+    keys = {*report["phases"], *report["split"]}
+    assert keys and not keys - named, sorted(keys - named)
 
 
 @pytest.mark.parametrize("module", ["scipy.interpolate",
